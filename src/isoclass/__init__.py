@@ -1,10 +1,12 @@
 """Decide for which extension degrees k two ordinary elliptic curves over
 the same prime field have isomorphic groups of F_(q^k)-rational points.
 
-The answer is always periodic in k; `iso_pattern` returns the modulus and
-the allowed residues, `gcd_criterion` / `valuation_criterion` give slow
-per-k ground truth, and the enumeration oracle checks everything against
-actual group structures for small fields.
+The answer is a conjunction of per-prime rules: `iso_pattern` returns it as
+"k even" (when a 2-adic rule applies) and d ∤ k for each d in a short list,
+with the period `modulus` and its `allowed` residues derived from it;
+`gcd_criterion` / `valuation_criterion` give slow per-k ground truth, and
+the enumeration oracle checks everything against actual group structures
+for small fields.
 """
 
 from .curve import (
@@ -37,7 +39,6 @@ from .isomorphy import (
     gcd_criterion,
     iso_pattern,
     nasty_reduce,
-    not_iso_at_prime,
     pattern_eval,
     predicted_group_structure,
     prime_set,
@@ -89,7 +90,6 @@ __all__ = [
     "lte",
     "mult_order",
     "nasty_reduce",
-    "not_iso_at_prime",
     "pattern_eval",
     "predicted_group_structure",
     "prime_set",

@@ -12,7 +12,6 @@ integer as a decimal string.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
@@ -31,6 +30,7 @@ from .isomorphy import (
 from .quadorder import FrobeniusData, SupersingularError, frobenius_from_trace
 
 _SPEC_RE = re.compile(r"^(\d+):(-?\d+),(-?\d+)$")
+ALLOWED_LIMIT = 10**6  # largest modulus whose allowed residues a report lists
 
 
 class CountMismatchError(ValueError):
@@ -50,36 +50,14 @@ def parse_curve_spec(spec: str) -> Curve:
 # pattern text
 
 
-def _atoms(modulus: int):
-    divisors = [d for d in range(2, modulus + 1) if modulus % d == 0]
-    pos = [(f"{d} | k", frozenset(r for r in range(modulus) if r % d == 0)) for d in divisors]
-    neg = [
-        ("k odd" if d == 2 else f"{d} ∤ k", frozenset(r for r in range(modulus) if r % d))
-        for d in divisors
-    ]
-    return pos + neg
-
-
 def pattern_text(pattern: IsoPattern) -> str:
-    """Human form of a pattern: 'all k', 'none', divisibility conditions
-    joined with ' and ', else explicit residues."""
-    modulus, allowed = pattern.modulus, pattern.allowed
-    if modulus == 1:
-        return "all k" if allowed else "none"
-    if not allowed:
+    """Human form of a pattern: 'none', 'all k', or its rules ('2 | k',
+    'k odd', 'd ∤ k') joined with ' and '."""
+    if pattern.not_dividing == (1,):
         return "none"
-    if allowed == frozenset(range(modulus)):
-        return "all k"
-    atoms = _atoms(modulus)
-    for size in (1, 2, 3):
-        for combo in itertools.combinations(atoms, size):
-            inter = frozenset(range(modulus))
-            for _, residues in combo:
-                inter &= residues
-            if inter == allowed:
-                return " and ".join(name for name, _ in combo)
-    residues = ", ".join(str(r) for r in sorted(allowed))
-    return f"k ≡ {{{residues}}} (mod {modulus})"
+    rules = ["2 | k"] if pattern.even else []
+    rules += ["k odd" if d == 2 else f"{d} ∤ k" for d in pattern.not_dividing]
+    return " and ".join(rules) or "all k"
 
 
 def render_pairwise_table(labels: list[str], cells: dict) -> str:
@@ -116,25 +94,25 @@ def _frob_report(frob: FrobeniusData) -> dict:
     }
 
 
-def _primes_report(pattern: IsoPattern) -> list:
-    return [
-        {
-            "p": str(pa.p),
-            "s": str(pa.s),
-            "e": str(pa.e),
-            "strict": pa.strict,
-            "case": pa.case,
-        }
+def _pattern_section(pattern: IsoPattern) -> tuple[dict, list[str]]:
+    """The "primes" and "pattern" report entries and the text lines of a
+    pattern.  "allowed" is null once the modulus exceeds ALLOWED_LIMIT."""
+    text = pattern_text(pattern)
+    modulus = pattern.modulus
+    allowed = [str(r) for r in sorted(pattern.allowed)] if modulus <= ALLOWED_LIMIT else None
+    report = {
+        "primes": [
+            {"p": str(pa.p), "s": str(pa.s), "e": str(pa.e), "strict": pa.strict, "case": pa.case}
+            for pa in pattern.per_prime
+        ],
+        "pattern": {"modulus": str(modulus), "allowed": allowed, "text": text},
+    }
+    lines = [
+        f"p = {pa.p}: s = {pa.s}, e = {pa.e}, strict = {'yes' if pa.strict else 'no'}, case = {pa.case}"
         for pa in pattern.per_prime
     ]
-
-
-def _pattern_report(pattern: IsoPattern) -> dict:
-    return {
-        "modulus": str(pattern.modulus),
-        "allowed": [str(r) for r in sorted(pattern.allowed)],
-        "text": pattern_text(pattern),
-    }
+    lines.append(f"isomorphic over F_(q^k) iff: {text}")
+    return report, lines
 
 
 def _curve_text(curve: Curve) -> str:
@@ -195,6 +173,7 @@ def _comparison_setup(spec_a: str, spec_b: str):
 
 
 def _comparison_report(args, inp: ComparisonInput, count: int, pattern: IsoPattern) -> tuple[dict, list[str]]:
+    section, pattern_lines = _pattern_section(pattern)
     report = {
         "input": {
             "curve_a": args.curve_a,
@@ -203,8 +182,7 @@ def _comparison_report(args, inp: ComparisonInput, count: int, pattern: IsoPatte
         },
         "frobenius": _frob_report(inp.frob),
         "conductors": [str(inp.g), str(inp.g2)],
-        "primes": _primes_report(pattern),
-        "pattern": _pattern_report(pattern),
+        **section,
     }
     lines = [
         f"comparing over F_{inp.frob.q}, common count {count}",
@@ -212,15 +190,14 @@ def _comparison_report(args, inp: ComparisonInput, count: int, pattern: IsoPatte
         f"  E': {args.curve_b}",
         _frob_text(inp.frob),
         f"conductors g = {inp.g}, g' = {inp.g2}",
+        *pattern_lines,
     ]
-    for pa in pattern.per_prime:
-        strict = "yes" if pa.strict else "no"
-        lines.append(f"p = {pa.p}: s = {pa.s}, e = {pa.e}, strict = {strict}, case = {pa.case}")
-    lines.append(f"isomorphic over F_(q^k) iff: {pattern_text(pattern)}")
     return report, lines
 
 
 def cmd_compare(args) -> tuple[dict, str]:
+    if args.kmax < 0:
+        raise ValueError(f"--kmax must be >= 0, got {args.kmax}")
     _, _, count, frob, inp = _comparison_setup(args.curve_a, args.curve_b)
     pattern = iso_pattern(inp)
     report, lines = _comparison_report(args, inp, count, pattern)
@@ -239,7 +216,7 @@ def cmd_compare(args) -> tuple[dict, str]:
 def cmd_pattern(args) -> tuple[dict, str]:
     frob = frobenius_from_trace(args.q, args.trace)
     inp = ComparisonInput(frob, args.g, args.g2)
-    pattern = iso_pattern(inp)
+    section, pattern_lines = _pattern_section(iso_pattern(inp))
     report = {
         "input": {
             "q": str(args.q),
@@ -249,21 +226,19 @@ def cmd_pattern(args) -> tuple[dict, str]:
         },
         "frobenius": _frob_report(frob),
         "conductors": [str(args.g), str(args.g2)],
-        "primes": _primes_report(pattern),
-        "pattern": _pattern_report(pattern),
+        **section,
     }
     lines = [
         _frob_text(frob),
         f"conductors g = {args.g}, g' = {args.g2}",
+        *pattern_lines,
     ]
-    for pa in pattern.per_prime:
-        strict = "yes" if pa.strict else "no"
-        lines.append(f"p = {pa.p}: s = {pa.s}, e = {pa.e}, strict = {strict}, case = {pa.case}")
-    lines.append(f"isomorphic over F_(q^k) iff: {pattern_text(pattern)}")
     return report, "\n".join(lines)
 
 
 def cmd_oracle(args) -> tuple[dict, str]:
+    if args.kmax < 1:
+        raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
     ea, eb, count, frob, inp = _comparison_setup(args.curve_a, args.curve_b)
     pattern = iso_pattern(inp)
     bound = args.bound

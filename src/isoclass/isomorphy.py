@@ -4,15 +4,16 @@ have isomorphic groups over F_{q^k}.
 Both curves share the Frobenius tau = a + b*delta; only the conductors g and
 g' of their endomorphism rings differ.  The ground truth for each k is the
 gcd test gcd(a_k - 1, b_k/g) = gcd(a_k - 1, b_k/g'), with tau^k = a_k + b_k
-delta.  The per-prime valuation form of that test depends on k only through
-k mod e_p and the parity of k, which is what makes the closed-form periodic
-pattern possible; no a_k or b_k are ever computed for the pattern.
+delta.  Restated per prime, that test depends on k only through its parity
+and its divisibility by the multiplicative order e_p, so the closed form is
+a conjunction of per-prime rules: "k even" from the 2-adic cases and
+"d ∤ k" from each strict prime.  No a_k or b_k are ever computed for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .curve import GroupStructure
@@ -56,10 +57,8 @@ class PrimeAnalysis:
 
 
 def _strict_flag(a: int, b: int, p: int, e: int, s: int) -> bool:
-    w = a**e - 1
-    if w == 0:
-        return True  # valuation infinite, inequality holds for any bound
-    return vp(w, p) - vp(e, p) > vp(b, p) - s
+    # v_p(a^e - 1) - v_p(e) > v_p(b) - s as a congruence mod p^N, N >= 1 as p^s | b
+    return pow(a, e, p ** (vp(e, p) + vp(b, p) - s + 1)) == 1
 
 
 def gcd_criterion(inp: ComparisonInput, k: int) -> bool:
@@ -125,76 +124,72 @@ def nasty_reduce(frob: FrobeniusData) -> FrobeniusData:
     return red
 
 
-def not_iso_at_prime(frob: FrobeniusData, pa: PrimeAnalysis, k: int) -> bool:
-    """Whether prime pa blocks the isomorphism over F_{q^k}.
-
-    Everything is decided from (a, b, s, e) alone; k enters only through
-    divisibility and parity, never through a_k or b_k.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if pa.case == EVEN_NASTY:
-        if k % 2 == 1:
-            return True  # v_2(b) = s = 1 forces failure at every odd k
-        red = nasty_reduce(frob)
-        e2 = mult_order(red.a % 4, 4)
-        strict2 = _strict_flag(red.a, abs(red.b), 2, e2, pa.s)
-        return strict2 and (k // 2) % e2 == 0
-    blocked = pa.strict and k % pa.e == 0
-    if pa.case == EVEN_GENERIC and k % 2 == 1 and vp(frob.b, 2) == pa.s:
-        blocked = True
-    return blocked
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IsoPattern:
-    """Periodic answer: isomorphic over F_{q^k} iff k mod modulus is in
-    allowed.  Equality is on the residue-set form only; per_prime carries
-    the provenance."""
+    """Isomorphic over F_{q^k} iff k is even (when `even`) and d ∤ k for
+    every d in `not_dividing`.  Canonical, so equal sets of k compare equal:
+    under `even` a d = 2 (mod 4) becomes d/2, multiples of another d are
+    dropped, and "no k" is (False, (1,)).  per_prime is provenance only.
+    """
 
-    modulus: int
-    allowed: frozenset
-    per_prime: tuple
+    even: bool
+    not_dividing: tuple
+    per_prime: tuple = field(default=(), compare=False)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IsoPattern):
-            return NotImplemented
-        return self.modulus == other.modulus and self.allowed == other.allowed
+    def __post_init__(self):
+        if any(d < 1 for d in self.not_dividing):
+            raise ValueError("divisors must be >= 1")
+        ds = {d // 2 if self.even and d % 4 == 2 else d for d in self.not_dividing}
+        ds = tuple(sorted(d for d in ds if not any(c != d and d % c == 0 for c in ds)))
+        object.__setattr__(self, "even", self.even and ds != (1,))  # 1 drops every other d
+        object.__setattr__(self, "not_dividing", ds)
 
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.allowed))
+    @property
+    def modulus(self) -> int:
+        """A period of the answer in k: 1 when every k is allowed, else
+        lcm(2, *not_dividing)."""
+        if not self.even and not self.not_dividing:
+            return 1
+        return math.lcm(2, *self.not_dividing)
+
+    @property
+    def allowed(self) -> frozenset:
+        """The residues k mod modulus that are allowed.  Listing them costs
+        O(modulus), so ask only when the modulus is small."""
+        m = self.modulus
+        return frozenset(r for r in range(m) if pattern_eval(self, r or m))
 
 
 def iso_pattern(inp: ComparisonInput) -> IsoPattern:
-    """Closed-form periodic pattern for the whole comparison.
-
-    The per-prime period is lcm(2, e) (lcm(2, 2e') after the nasty
-    reduction); the overall modulus is their lcm and a residue is allowed
-    when no analyzed prime blocks it.
+    """Closed-form pattern for the whole comparison, one rule per analyzed
+    prime.  odd_p: e ∤ k when strict.  even_generic: e ∤ k when strict, and
+    k even when v_2(b) = s.  even_nasty: k even, and 2e' ∤ k when the
+    squared Frobenius (e' its order mod 4) is strict.
     """
-    if inp.g == inp.g2:
-        return IsoPattern(1, frozenset({0}), ())
     analyses = prime_set(inp)
-    modulus = 1
+    even = False
+    ds = []
     for pa in analyses:
         if pa.case == EVEN_NASTY:
-            e2 = mult_order(nasty_reduce(inp.frob).a % 4, 4)
-            period = 2 * e2
-        else:
-            period = math.lcm(2, pa.e)
-        modulus = math.lcm(modulus, period)
-    allowed = frozenset(
-        r
-        for r in range(modulus)
-        if not any(not_iso_at_prime(inp.frob, pa, r or modulus) for pa in analyses)
-    )
-    return IsoPattern(modulus, allowed, analyses)
+            even = True  # v_2(b) = s = 1 blocks every odd k
+            red = nasty_reduce(inp.frob)
+            e2 = mult_order(red.a, 4)
+            if _strict_flag(red.a, red.b, 2, e2, pa.s):
+                ds.append(2 * e2)
+            continue
+        if pa.strict:
+            ds.append(pa.e)
+        if pa.case == EVEN_GENERIC and vp(inp.frob.b, 2) == pa.s:
+            even = True
+    return IsoPattern(even, tuple(ds), analyses)
 
 
 def pattern_eval(pattern: IsoPattern, k: int) -> bool:
     if k < 1:
         raise ValueError("k must be >= 1")
-    return (k % pattern.modulus) in pattern.allowed
+    if pattern.even and k % 2:
+        return False
+    return all(k % d for d in pattern.not_dividing)
 
 
 def predicted_group_structure(frob: FrobeniusData, g: int, k: int = 1) -> GroupStructure:

@@ -132,6 +132,25 @@ def binom_valuation(p: int, l: int, m: int, r: int) -> int:
     return l - vp(r, p)
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _is_prime_power(q: int) -> bool:
+    # q >= 2; q = r^k needs 2^k <= q, so k < bit_length(q); no factoring needed
+    for k in range(1, q.bit_length()):
+        r = _iroot(q, k)
+        if r**k == q and is_prime(r):
+            return True
+    return False
+
+
 def mult_order(a: int, n: int) -> int:
     """Multiplicative order of a modulo n >= 2."""
     if n < 2:
@@ -139,11 +158,12 @@ def mult_order(a: int, n: int) -> int:
     a %= n
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
-    e = 1
-    x = a
-    while x != 1:
-        x = x * a % n
-        e += 1
+    e = 1  # phi(n), then divided by its primes while a^e stays 1
+    for p, k in factorize(n).items():
+        e *= (p - 1) * p ** (k - 1)
+    for p in factorize(e):
+        while e % p == 0 and pow(a, e // p, n) == 1:
+            e //= p
     return e
 
 
@@ -288,12 +308,12 @@ class FrobeniusData:
 def frobenius_from_trace(q: int, t: int) -> FrobeniusData:
     """Frobenius data for an ordinary curve over F_q with trace t.
 
-    q may be any prime power (as an opaque integer): ordinarity is exactly
-    gcd(t, q) = 1.  Rejects supersingular traces distinctly and rejects
-    t^2 >= 4q.  The returned b is positive.
+    q must be a prime power (checked without factoring): ordinarity is then
+    exactly gcd(t, q) = 1.  Rejects supersingular traces distinctly and
+    rejects t^2 >= 4q.  The returned b is positive.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    if q < 2 or not _is_prime_power(q):
+        raise ValueError(f"q = {q} is not a prime power")
     if math.gcd(t, q) != 1:
         raise SupersingularError(f"supersingular: gcd(t, q) > 1 for q={q}, t={t}")
     disc = t * t - 4 * q

@@ -10,15 +10,15 @@ from isoclass.cli import (
     pattern_text,
     render_pairwise_table,
 )
-from isoclass.isomorphy import ComparisonInput, IsoPattern, iso_pattern
+from isoclass.isomorphy import ComparisonInput, IsoPattern, iso_pattern, pattern_eval
 
 from conftest import EXAMPLE1
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-def _pat(modulus, allowed):
-    return IsoPattern(modulus=modulus, allowed=frozenset(allowed), per_prime=())
+def _pat(even, not_dividing):
+    return IsoPattern(even, tuple(not_dividing))
 
 
 def test_parse_curve_spec():
@@ -32,56 +32,42 @@ def test_parse_curve_spec():
 
 
 def test_pattern_text_basic():
-    assert pattern_text(_pat(1, {0})) == "all k"
-    assert pattern_text(_pat(1, set())) == "none"
-    assert pattern_text(_pat(2, set())) == "none"
-    assert pattern_text(_pat(2, {1})) == "k odd"
-    assert pattern_text(_pat(2, {0})) == "2 | k"
-    assert pattern_text(_pat(4, {1, 2, 3})) == "4 ∤ k"
-    assert pattern_text(_pat(6, {2, 4})) == "2 | k and 3 ∤ k"
-    assert pattern_text(_pat(6, {1, 2, 4, 5})) == "3 ∤ k"
-    assert pattern_text(_pat(6, {0, 1, 2, 3, 4, 5})) == "all k"
-    assert pattern_text(_pat(3, {0})) == "3 | k"
-
-
-def test_pattern_text_residue_fallback():
-    # {1, 5} mod 12 is not a conjunction of divisibility atoms of length <= 3
-    got = pattern_text(_pat(12, {1, 5}))
-    assert got == "k ≡ {1, 5} (mod 12)"
+    assert pattern_text(_pat(False, ())) == "all k"
+    assert pattern_text(_pat(False, (1,))) == "none"
+    assert pattern_text(_pat(True, (2,))) == "none"
+    assert pattern_text(_pat(False, (2,))) == "k odd"
+    assert pattern_text(_pat(True, ())) == "2 | k"
+    assert pattern_text(_pat(False, (4,))) == "4 ∤ k"
+    assert pattern_text(_pat(True, (3,))) == "2 | k and 3 ∤ k"
+    assert pattern_text(_pat(True, (6,))) == "2 | k and 3 ∤ k"
+    assert pattern_text(_pat(True, (12, 4))) == "2 | k and 4 ∤ k"
+    assert pattern_text(_pat(False, (3,))) == "3 ∤ k"
+    assert pattern_text(_pat(False, (9, 3, 6))) == "3 ∤ k"
+    assert pattern_text(_pat(False, (2, 3))) == "k odd and 3 ∤ k"
+    assert pattern_text(_pat(False, (11, 7, 5, 3))) == "3 ∤ k and 5 ∤ k and 7 ∤ k and 11 ∤ k"
 
 
 def test_pattern_text_consistent_with_eval():
-    # rendering must describe exactly the allowed residues
-    from isoclass.cli import _atoms
-
-    for modulus in (2, 4, 6, 12):
+    # rendering must describe exactly the k the pattern allows
+    for even in (False, True):
         for size in range(0, 4):
-            for combo in itertools.combinations(_atoms(modulus), size):
-                allowed = frozenset(range(modulus))
-                for _, residues in combo:
-                    allowed &= residues
-                text = pattern_text(_pat(modulus, allowed))
-                if text.startswith("k ≡"):
-                    continue
-                # re-evaluate the text on every residue
-                for r in range(modulus):
-                    k = r if r else modulus
-                    ok = True
-                    if text == "none":
-                        ok = False
-                    elif text == "all k":
-                        ok = True
-                    else:
+            for ds in itertools.combinations(range(1, 13), size):
+                pat = _pat(even, ds)
+                text = pattern_text(pat)
+                # re-evaluate the text on two periods of k
+                for k in range(1, 2 * pat.modulus + 1):
+                    ok = text != "none"
+                    if text not in ("none", "all k"):
                         for atom in text.split(" and "):
                             if atom == "k odd":
                                 ok &= k % 2 == 1
-                            elif "∤" in atom:
-                                d = int(atom.split()[0])
-                                ok &= k % d != 0
+                            elif atom == "2 | k":
+                                ok &= k % 2 == 0
                             else:
-                                d = int(atom.split()[0])
-                                ok &= k % d == 0
-                    assert ok == (r in allowed), (modulus, text, r)
+                                d, sign, _ = atom.split()
+                                assert sign == "∤", atom
+                                ok &= k % int(d) != 0
+                    assert ok == pattern_eval(pat, k), (even, ds, text, k)
 
 
 def test_render_pairwise_table_golden():
@@ -153,6 +139,15 @@ def test_pattern_command_prime_power_q(capsys):
     assert out["frobenius"]["q"] == "1062961"
 
 
+def test_pattern_command_large_prime(capsys):
+    # p = 1e9+7 divides b: the answer comes from the rules alone, and the
+    # residues of a modulus above 10^6 are not listed
+    argv = ["pattern", "--q", "24750000346500001213", "--trace", "1", "--g", "1000000007", "--g2", "1"]
+    assert main(argv + ["--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["pattern"] == {"modulus": "1000000006", "allowed": None, "text": "500000003 ∤ k"}
+
+
 def test_oracle_command(capsys):
     assert main(["oracle", "5:1,1", "5:1,4", "--kmax", "4", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -169,6 +164,22 @@ def test_exit_code_invalid_input(capsys):
     assert main(["analyze", "5:0,0"]) == 2          # singular
     assert main(["compare", "5:1,1", "7:1,1"]) == 2 # different fields
     assert main(["pattern", "--q", "5", "--trace", "2", "--g", "1", "--g2", "3"]) == 2  # g2 does not divide b
+    assert main(["pattern", "--q", "15", "--trace", "1", "--g", "1", "--g2", "1"]) == 2  # q not a prime power
+    assert main(["pattern", "--q", "1", "--trace", "1", "--g", "1", "--g2", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "q = 15 is not a prime power" in err
+    # a prime power that is not prime stays valid
+    assert main(["pattern", "--q", "1062961", "--trace", "-1342", "--g", "1", "--g2", "4"]) == 0
+    capsys.readouterr()
+
+
+def test_exit_code_bad_kmax(capsys):
+    assert main(["compare", "3329:49,0", "3329:1,98", "--kmax", "-3"]) == 2
+    assert main(["oracle", "5:1,1", "5:1,4", "--kmax", "0"]) == 2
+    assert main(["oracle", "5:1,1", "5:1,4", "--kmax", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--kmax must be >= 0" in err and "--kmax must be >= 1" in err
+    assert main(["compare", "3329:49,0", "3329:1,98", "--kmax", "0"]) == 0
     capsys.readouterr()
 
 

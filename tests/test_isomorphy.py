@@ -9,16 +9,17 @@ from isoclass.isomorphy import (
     EVEN_NASTY,
     ODD_P,
     ComparisonInput,
+    IsoPattern,
     gcd_criterion,
     iso_pattern,
     nasty_reduce,
-    not_iso_at_prime,
     pattern_eval,
     predicted_group_structure,
     prime_set,
     valuation_criterion,
 )
-from isoclass.quadorder import frobenius_from_trace, vp
+from isoclass.field import is_prime
+from isoclass.quadorder import OrderElem, factorize, frobenius_from_trace, vp
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
 
@@ -92,15 +93,46 @@ def test_nasty_reduce():
     assert red.a % 2 == 1
 
 
-def test_not_iso_at_prime_nasty():
+def test_iso_pattern_nasty():
     frob = EXAMPLE3.frob
-    (pa,) = prime_set(ComparisonInput(frob, 7, 14))
+    pat = iso_pattern(ComparisonInput(frob, 7, 14))
+    (pa,) = pat.per_prime
+    assert pa.case == EVEN_NASTY
+    assert (pat.even, pat.not_dividing) == (True, ())
     # v_2(b) = 1 = s: every odd k blocks
     for k in (1, 3, 5, 7, 9):
-        assert not_iso_at_prime(frob, pa, k)
+        assert not pattern_eval(pat, k)
     # even k: reduced data has v_2(B) - s = 2 >= v_2(A - 1); never blocks
     for k in (2, 4, 6, 8, 10, 12):
-        assert not not_iso_at_prime(frob, pa, k)
+        assert pattern_eval(pat, k)
+
+
+def test_iso_pattern_canonical_equality():
+    assert IsoPattern(True, (3,)) == IsoPattern(True, (6,))
+    assert hash(IsoPattern(True, (3,))) == hash(IsoPattern(True, (6,)))
+    assert IsoPattern(True, (2,)) == IsoPattern(False, (1, 5)) == IsoPattern(False, (1,))
+    assert IsoPattern(False, (8, 6, 4)) == IsoPattern(False, (4, 6))
+    assert IsoPattern(False, (3,)) != IsoPattern(True, (3,))
+    # provenance takes no part in equality
+    pat = iso_pattern(ComparisonInput(EXAMPLE1.frob, 1, 13))
+    assert pat.per_prime and pat == IsoPattern(False, (2,))
+    with pytest.raises(ValueError):
+        IsoPattern(False, (0,))
+    # equal exactly when the sets of allowed k agree; 840 = lcm(1..8) is a
+    # period of every pattern below
+    forms = [
+        IsoPattern(even, ds)
+        for even in (False, True)
+        for size in range(3)
+        for ds in itertools.combinations(range(1, 9), size)
+    ]
+    ksets = [tuple(pattern_eval(pat, k) for k in range(1, 841)) for pat in forms]
+    for (a, ka), (b, kb) in itertools.combinations(zip(forms, ksets), 2):
+        assert (a == b) == (ka == kb), (a, b)
+    for pat, kset in zip(forms, ksets):
+        m = pat.modulus
+        assert 840 % m == 0
+        assert pat.allowed == frozenset(k % m for k in range(1, m + 1) if kset[k - 1])
 
 
 def test_iso_pattern_example1():
@@ -175,8 +207,10 @@ def test_three_criteria_agree_on_examples():
 
 
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    out = [1]
+    for p, k in factorize(n).items():
+        out = [d * p**i for d in out for i in range(k + 1)]
+    return sorted(out)
 
 
 def test_three_criteria_agree_random_classes():
@@ -243,3 +277,80 @@ def test_pattern_eval_rejects_nonpositive_k():
     pat = iso_pattern(ComparisonInput(EXAMPLE1.frob, 1, 13))
     with pytest.raises(ValueError):
         pattern_eval(pat, 0)
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _tau_pow_mod(frob, k, n):
+    """(a_k mod n, b_k mod n) for tau^k = a_k + b_k*delta."""
+    c, extra = (frob.m, 0) if frob.kind == "sqrt" else ((frob.m - 1) // 4, 1)
+
+    def mul(u, v):
+        return (
+            (u[0] * v[0] + c * u[1] * v[1]) % n,
+            (u[0] * v[1] + u[1] * v[0] + extra * u[1] * v[1]) % n,
+        )
+
+    out, base = (1, 0), (frob.a % n, frob.b % n)
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        k >>= 1
+    return out
+
+
+def _vp_capped(x, p, cap):
+    v = 0
+    while v < cap and x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def test_three_criteria_agree_large_primes():
+    # q up to ~1e30 with a prime p | b up to ~1e9: the pattern stays polylog,
+    # and at k = e, 2e (far beyond exact tau^k) it is checked against the
+    # p-part of the gcd test, computed from tau^k mod p^n
+    rng = random.Random(12)
+    classes = 0
+    while classes < 16:
+        p = _next_prime(int(10 ** rng.uniform(3, 9)))
+        j = 2 if p < 10**5 and rng.random() < 0.5 else 1
+        cof = 2 ** rng.randrange(4) * 3 ** rng.randrange(3) * rng.choice((1, 5, 7, 11))
+        m = rng.choice((-1, -2, -3, -5, -6, -7, -11, -19))
+        b = p**j * cof
+        a = rng.randrange(-(10**15), 10**15)
+        tau = OrderElem(a, b, m)
+        q = tau.norm()
+        if math.gcd(a, b) != 1 or not is_prime(q):
+            continue
+        frob = frobenius_from_trace(q, tau.trace())
+        assert frob.b == b
+        divs = _divisors(b)
+        base = rng.choice([d for d in divs if d % p])
+        pairs = [(rng.choice(divs), rng.choice(divs)) for _ in range(2)]
+        pairs.append((base, base * p ** rng.randrange(1, j + 1)))
+        for g, g2 in pairs:
+            inp = ComparisonInput(frob, g, g2)
+            pat = iso_pattern(inp)
+            for k in range(1, 61):
+                a1 = gcd_criterion(inp, k)
+                a2 = valuation_criterion(inp, k)
+                a3 = pattern_eval(pat, k)
+                assert a1 == a2 == a3, (q, frob.t, g, g2, k)
+        # g and g2 differ only at p, so the gcd test reduces to its p-part
+        (pa,) = pat.per_prime
+        assert pa.p == p
+        n = j + 2
+        for k in (pa.e, 2 * pa.e):
+            ak, bk = _tau_pow_mod(frob, k, p**n)
+            va, vb = _vp_capped(ak - 1, p, n), _vp_capped(bk, p, n)
+            assert vb < n
+            iso = min(va, vb - vp(g, p)) == min(va, vb - vp(g2, p))
+            assert iso == pattern_eval(pat, k), (q, frob.t, g, g2, k)
+        classes += 1

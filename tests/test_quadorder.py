@@ -128,6 +128,19 @@ def test_mult_order():
         mult_order(2, 4)
 
 
+def test_mult_order_large_modulus():
+    p = 1000000007  # p - 1 = 2 * 500000003, 5 a primitive root
+    assert mult_order(5, p) == p - 1
+    assert mult_order(25, p) == (p - 1) // 2
+    assert mult_order(-1, p) == 2
+    r = 998244353  # r - 1 = 2^23 * 7 * 17, 3 a primitive root
+    assert mult_order(3, r) == r - 1
+    assert mult_order(pow(3, 7 * 17, r), r) == 2**23
+    assert mult_order(pow(3, 2**23, r), r) == 7 * 17
+    # composite modulus: lcm(ord mod 2^9, ord mod 5^9) = lcm(2^7, 4 * 5^8)
+    assert mult_order(3, 10**9) == 50_000_000
+
+
 def test_delta_kind():
     assert delta_kind(-1) == SQRT
     assert delta_kind(-2) == SQRT

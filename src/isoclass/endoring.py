@@ -29,7 +29,7 @@ from .field import (
     poly_sub,
     poly_trim,
 )
-from .quadorder import FrobeniusData, factorize
+from .quadorder import FrobeniusData, _is_prime_power, factorize
 
 
 class DivisionPolySet:
@@ -147,14 +147,6 @@ def _scalar_maps(psit: DivisionPolySet, n: int, modulus: Poly) -> tuple[Poly, Po
     return xmap, omega
 
 
-def _is_prime_power(c: int) -> tuple[int, int]:
-    fac = factorize(c)
-    if len(fac) != 1:
-        raise ValueError(f"{c} is not a prime power")
-    ((p, e),) = fac.items()
-    return p, e
-
-
 def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     """Whether tau acts as the scalar a mod c on E[c] (c a prime power
     dividing b), i.e. whether the order of conductor b/c contains tau scaled
@@ -176,7 +168,8 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
         raise ValueError(f"c = {c} must divide b = {frob.b}")
     if c % q == 0:
         raise ValueError("c must be coprime to the characteristic")
-    _is_prime_power(c)
+    if not _is_prime_power(c):
+        raise ValueError(f"{c} is not a prime power")
 
     a_mod = frob.a % c
     if a_mod <= c - a_mod:
@@ -234,37 +227,42 @@ def conductor(curve: Curve, frob: FrobeniusData) -> int:
 
 
 def _full_torsion_action(
-    curve: Curve, frob: FrobeniusData, lp: int, j: int, bound: int
-) -> bool:
-    """Pointwise oracle for one prime power c = lp^j: find the smallest
-    extension containing all of E[c], then compare tau with [a mod c] on
-    every torsion point."""
+    curve: Curve, frob: FrobeniusData, lp: int, jmax: int, bound: int
+) -> list[bool]:
+    """Pointwise oracle for c = lp^j, j = 1..jmax, in one walk up the
+    extensions: each j is decided in the smallest extension containing all
+    of E[c], by comparing tau with [a mod c] on every torsion point."""
     from . import enumeration
 
-    c = lp**j
     q = frob.q
     base = curve.ctx
+    passes: list[bool] = []
     m = 0
     size = 1
-    while True:
+    while len(passes) < jmax:
         m += 1
         size *= q
         if size > bound:
+            c = lp ** (len(passes) + 1)
             raise CapacityError(
                 f"E[{c}] does not appear within the enumeration bound {bound}"
             )
         ctx = base if m == 1 else ExtField(base, m)
         lifted = curve if m == 1 else curve.lift(ctx)
-        tors = enumeration.lpower_torsion(lifted, lp, j)[j]
-        if len(tors) + 1 != c * c:
-            continue
-        n = frob.a % c
-        for pt in tors:
-            x, y = pt
-            image = (ctx.pow(x, q), ctx.pow(y, q))
-            if image != lifted.scalar_mul(n, pt):
-                return False
-        return True
+        tors = enumeration.lpower_torsion(lifted, lp, jmax)
+        # E[lp^j] holds E[lp^(j-1)], so the full j at this m form a run
+        for j in range(len(passes) + 1, jmax + 1):
+            c = lp**j
+            if len(tors[j]) + 1 != c * c:
+                break
+            n = frob.a % c
+            passes.append(
+                all(
+                    (ctx.pow(x, q), ctx.pow(y, q)) == lifted.scalar_mul(n, (x, y))
+                    for x, y in tors[j]
+                )
+            )
+    return passes
 
 
 def conductor_bruteforce(
@@ -280,7 +278,7 @@ def conductor_bruteforce(
         raise ValueError("curve's point count does not match the Frobenius data")
     g = 1
     for p, vb in sorted(factorize(frob.b).items()):
-        passes = [_full_torsion_action(curve, frob, p, j, bound) for j in range(1, vb + 1)]
+        passes = _full_torsion_action(curve, frob, p, vb, bound)
         i = 0
         while i < vb and passes[i]:
             i += 1

@@ -37,24 +37,18 @@ class _BulkField:
         self.BIG = 2 * n
         self.half = n // 2  # log(-1); n is even since q is odd
         self.radix = p ** np.arange(k, dtype=np.int64)
-        if k > 1:
-            from .field import poly_mod
-
-            self._red = []
-            for j in range(k, 2 * k - 1):
-                row = poly_mod([0] * j + [1], ctx.modulus, p)
-                full = np.zeros(k, dtype=np.int64)
-                full[: len(row)] = row
-                self._red.append(full)
 
         gen = self._find_generator()
         digits = np.zeros((n, k), dtype=np.int64)
-        digits[0] = self._coeff_row(ctx.one)
+        digits[0, 0] = 1
         t = 1
         while t < n:
             m = min(t, n - t)
-            gt = self._coeff_row(ctx.pow(gen, t)).reshape(1, k)
-            digits[t : t + m] = self._coeff_mul(digits[:m], gt)
+            gt = ctx.pow(gen, t)
+            # row i of M holds the coefficients of x^i * g^t
+            codes = [ctx.encode(ctx.mul(ctx.decode(p**i), gt)) for i in range(k)]
+            M = np.array(codes, dtype=np.int64)[:, None] // self.radix % p
+            digits[t : t + m] = digits[:m] @ M % p
             t += m
         exp = digits @ self.radix
         dlog = np.full(q, self.BIG, dtype=np.int32)
@@ -86,26 +80,6 @@ class _BulkField:
                 return elt
         raise AssertionError("no generator found")
 
-    def _coeff_row(self, elt) -> np.ndarray:
-        if self.k == 1:
-            return np.array([elt], dtype=np.int64)
-        return np.array(elt, dtype=np.int64)
-
-    def _coeff_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Coefficient-space product, used only to build the log tables."""
-        p, k = self.p, self.k
-        if k == 1:
-            return a * b % p
-        n = max(a.shape[0], b.shape[0])
-        conv = np.zeros((n, 2 * k - 1), dtype=np.int64)
-        for i in range(k):
-            conv[:, i : i + k] += a[:, i : i + 1] * b
-        out = conv[:, :k]
-        for j in range(k - 1):
-            out += conv[:, k + j : k + j + 1] * self._red[j]
-        out %= p
-        return out
-
     # -- arithmetic on log arrays ---------------------------------------
 
     def elem_log(self, elt) -> int:
@@ -113,9 +87,6 @@ class _BulkField:
 
     def to_codes(self, logs: np.ndarray) -> np.ndarray:
         return self.exp_pad[logs]
-
-    def log_of_codes(self, codes: np.ndarray) -> np.ndarray:
-        return self.dlog[codes]
 
     def lmul(self, a, b):
         out = (a + b) % self.n
@@ -173,7 +144,10 @@ def _tables(ctx):
 
 
 def _enumerate_points(curve: Curve):
-    """Log arrays (X, Y) of every affine point, one row per point."""
+    """Log arrays (X, Y) of every affine point, one row per point, and the
+    number n_pairs of x with two points.  Each x is listed once (the y = 0
+    points, then one point of each +-y pair), followed by the negations, so
+    row i + n_pairs is the negation of pair row i."""
     bulk, root = _tables(curve.ctx)
     n = bulk.n
     lx = np.empty(bulk.q, dtype=np.int32)
@@ -194,7 +168,7 @@ def _enumerate_points(curve: Curve):
     y1 = r[two]
     X = np.concatenate([x0, x1, x1])
     Y = np.concatenate([np.full(x0.size, bulk.BIG, np.int32), y1, bulk.lneg(y1)])
-    return bulk, X, Y
+    return bulk, X, Y, x1.size
 
 
 def _nonzero(ctx, elt) -> bool:
@@ -250,33 +224,41 @@ class _PointSet:
     """Enumerated affine points with indexed lookup of [n]P images."""
 
     def __init__(self, curve: Curve):
-        bulk, X, Y = _enumerate_points(curve)
+        bulk, X, Y, n_pairs = _enumerate_points(curve)
         self.bulk = bulk
-        self.curve = curve
         self.lA = bulk.elem_log(curve.a) if _nonzero(curve.ctx, curve.a) else bulk.BIG
         self.X = X
         self.Y = Y
         self.order = 1 + X.shape[0]
-        codes = self._point_codes(X, Y)
-        self.sort_idx = np.argsort(codes)
-        self.sorted_codes = codes[self.sort_idx]
-
-    def _point_codes(self, X, Y) -> np.ndarray:
-        return X.astype(np.int64) * (self.bulk.BIG + 1) + Y
+        self.n_pairs = n_pairs
+        # first row of each x, indexed by log x (BIG for x = 0); x off the
+        # curve points at row 0, which the lookup then rejects
+        distinct = X.size - n_pairs
+        self.row_of_x = np.zeros(bulk.BIG + 1, dtype=np.intp)
+        self.row_of_x[X[:distinct]] = np.arange(distinct)
 
     def scalar_map(self, n: int) -> np.ndarray:
         """Index array: row j holds the point-list index of [n]P_j, -1 for
         infinity.  Every image must land back in the enumerated set."""
         X3, Y3, I3 = _bulk_scalar_mul(self.bulk, self.lA, self.X, self.Y, n)
-        codes = self._point_codes(X3, Y3)
-        pos = np.searchsorted(self.sorted_codes, codes)
-        pos[pos >= self.sorted_codes.size] = 0
-        found = self.sorted_codes[pos] == codes
+        out = self.row_of_x[X3]
+        out[self.Y[out] != Y3] += self.n_pairs
+        found = (self.X[out] == X3) & (self.Y[out] == Y3)
         if not (found | I3).all():
             raise AssertionError("scalar multiple left the enumerated point set")
-        out = self.sort_idx[pos]
         out[I3] = -1
         return out
+
+
+def _killed_masks(pts: _PointSet, l: int):
+    """Masks of the points killed by l^j for j = 1, 2, ..., one [l]-map
+    gather per step."""
+    to = pts.scalar_map(l)
+    reach = to
+    while True:
+        killed = reach == -1
+        yield killed
+        reach = np.where(killed, -1, to[reach])
 
 
 def group_structure(curve: Curve) -> GroupStructure:
@@ -291,17 +273,11 @@ def group_structure(curve: Curve) -> GroupStructure:
     for l, e in sorted(factorize(N).items()):
         if e < 2:
             continue
-        to = pts.scalar_map(l)
-        reach = to
         alpha = 0
-        i = 1
-        while 2 * i <= e:
-            tcount = 1 + int(np.count_nonzero(reach == -1))
-            if tcount != l ** (2 * i):
+        for i, killed in zip(range(1, e // 2 + 1), _killed_masks(pts, l)):
+            if 1 + int(np.count_nonzero(killed)) != l ** (2 * i):
                 break
             alpha = i
-            i += 1
-            reach = np.where(reach == -1, -1, to[reach])
         n1 *= l**alpha
     n2 = N // n1
     if n2 % n1 != 0 or (curve.ctx.size - 1) % n1 != 0:
@@ -315,18 +291,15 @@ def lpower_torsion(curve: Curve, l: int, jmax: int) -> dict[int, list]:
     pts = _PointSet(curve)
     bulk = pts.bulk
     ctx = curve.ctx
-    to = pts.scalar_map(l)
     out: dict[int, list] = {}
-    reach = to
-    for j in range(1, jmax + 1):
-        idx = np.nonzero(reach == -1)[0]
+    for j, killed in zip(range(1, jmax + 1), _killed_masks(pts, l)):
+        idx = np.nonzero(killed)[0]
         xcodes = bulk.to_codes(pts.X[idx])
         ycodes = bulk.to_codes(pts.Y[idx])
         out[j] = [
             (ctx.decode(int(xc)), ctx.decode(int(yc)))
             for xc, yc in zip(xcodes, ycodes)
         ]
-        reach = np.where(reach == -1, -1, to[reach])
     return out
 
 

@@ -71,6 +71,7 @@ def gcd_criterion(inp: ComparisonInput, k: int) -> bool:
     return math.gcd(ak - 1, bk // inp.g) == math.gcd(ak - 1, bk // inp.g2)
 
 
+@lru_cache(maxsize=128)
 def prime_set(inp: ComparisonInput) -> tuple[PrimeAnalysis, ...]:
     """Analyses at the primes where the two conductor valuations differ.
 

@@ -191,10 +191,6 @@ class OrderElem:
     def __post_init__(self):
         if self.m >= 0:
             raise ValueError("m must be negative")
-        mm = abs(self.m)
-        for p in (2, 3, 5, 7, 11, 13):
-            if mm % (p * p) == 0:
-                raise ValueError("m must be squarefree")
 
     @property
     def kind(self) -> str:
@@ -248,18 +244,15 @@ class OrderElem:
         return f"({self.x} + {self.y}*delta[m={self.m}])"
 
 
-def order_pow(e: OrderElem, k: int) -> OrderElem:
-    """k-th power in the order, exact integer arithmetic."""
-    return e**k
-
-
 @dataclass(frozen=True)
 class FrobeniusData:
     """A Frobenius element tau = a + b*delta of norm q and trace t.
 
     Built by frobenius_from_trace (which normalizes b > 0) or by squaring an
     existing Frobenius (nasty_reduce keeps the raw components, so b may be
-    negative there).  gcd(a, b) = 1 holds for every ordinary (q, t).
+    negative there).  gcd(a, b) = 1 holds for every ordinary (q, t).  m is
+    checked for square factors p^2 with p <= 13 only; frobenius_from_trace
+    makes it squarefree by factoring.
     """
 
     q: int
@@ -277,6 +270,8 @@ class FrobeniusData:
             raise ValueError("t^2 must be < 4q")
         if math.gcd(self.a, self.b) != 1:
             raise ValueError("gcd(a, b) != 1 should be impossible for ordinary input")
+        if any(self.m % (p * p) == 0 for p in (2, 3, 5, 7, 11, 13)):
+            raise ValueError("m must be squarefree")
 
     @property
     def a(self) -> int:

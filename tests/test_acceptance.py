@@ -249,7 +249,7 @@ def test_criterion_6_valuation_identities():
 
 
 def test_criterion_7_conductor_bruteforce_crosscheck():
-    with criterion(7, "division-polynomial conductor vs torsion-field enumeration, b<=6"):
+    with criterion(7, "division-polynomial conductor vs torsion-field enumeration, b<=6", 300):
         verified = skipped = 0
         for q, t, frob, byg in _scan_classes():
             if frob.b > 6:

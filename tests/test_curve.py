@@ -9,7 +9,7 @@ from isoclass.curve import (
     SingularCurveError,
     curve_from_ints,
 )
-from isoclass.enumeration import count_all_curves, group_structure, lpower_torsion
+from isoclass.enumeration import _PointSet, count_all_curves, group_structure, lpower_torsion
 from isoclass.field import ExtField, PrimeField
 from isoclass.quadorder import frobenius_from_trace
 
@@ -164,6 +164,25 @@ def test_lpower_torsion():
         exact = [pt for pt in tor[1] if pt is not None]
         naive = [pt for pt in e.points() if e.scalar_mul(l, pt) is None]
         assert sorted(exact) == sorted(naive)
+
+
+@pytest.mark.parametrize("p, k, a, b", [(13, 1, 1, 1), (7, 2, 3, 0)])
+def test_scalar_map_matches_scalar_mul(p, k, a, b):
+    base = PrimeField(p)
+    ctx = base if k == 1 else ExtField(base, k)
+    e = Curve(base, a, b)
+    e = e if k == 1 else e.lift(ctx)
+    pts = _PointSet(e)
+    codes = zip(pts.bulk.to_codes(pts.X), pts.bulk.to_codes(pts.Y))
+    listed = [(ctx.decode(int(xc)), ctx.decode(int(yc))) for xc, yc in codes]
+    assert sorted(listed) == sorted(e.points())
+    # log x = BIG (x = 0) and the y = 0 rows both occur
+    assert any(x == ctx.zero for x, _ in listed)
+    assert any(y == ctx.zero for _, y in listed)
+    for n in range(1, 6):
+        got = pts.scalar_map(n)
+        want = [e.scalar_mul(n, pt) for pt in listed]
+        assert [None if j == -1 else listed[j] for j in got] == want, n
 
 
 def test_capacity_error():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from isoclass import isomorphy
 from isoclass.isomorphy import (
     EVEN_GENERIC,
     EVEN_NASTY,
@@ -82,6 +83,22 @@ def test_prime_set_example3_nasty():
     # g=7 vs g'=14: only p = 2 remains
     (pa,) = prime_set(ComparisonInput(frob, 7, 14))
     assert pa.case == EVEN_NASTY
+
+
+def test_prime_set_factors_b_once_across_k(monkeypatch):
+    calls = []
+    real = isomorphy.factorize
+    monkeypatch.setattr(isomorphy, "factorize", lambda n: calls.append(n) or real(n))
+    inp = ComparisonInput(EXAMPLE1.frob, 1, 13)
+
+    def factorize_calls(kmax):
+        prime_set.cache_clear()
+        calls.clear()
+        for k in range(1, kmax + 1):
+            valuation_criterion(inp, k)
+        return len(calls)
+
+    assert factorize_calls(60) == factorize_calls(1) == 1
 
 
 def test_nasty_reduce():

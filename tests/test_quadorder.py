@@ -233,6 +233,13 @@ def test_frobenius_rejects_real():
         frobenius_from_trace(4, 4)  # t^2 = 4q
 
 
+def test_frobenius_rejects_square_factor_in_m():
+    # norm 5, trace 2 and gcd(a, b) = 1 all hold; only m = -4 is wrong
+    elem = OrderElem(1, 1, -4)
+    with pytest.raises(ValueError, match="squarefree"):
+        FrobeniusData(5, 2, elem)
+
+
 def test_point_count_via_norm():
     f = frobenius_from_trace(3329, 50)
     assert f.point_count(1) == 3280

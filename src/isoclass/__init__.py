@@ -10,6 +10,7 @@ for small fields.
 """
 
 from .curve import (
+    COUNT_BOUND,
     DEFAULT_BOUND,
     CapacityError,
     Curve,
@@ -60,6 +61,7 @@ from .quadorder import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "COUNT_BOUND",
     "DEFAULT_BOUND",
     "CapacityError",
     "ComparisonInput",

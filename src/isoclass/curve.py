@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .field import PrimeField
 
 DEFAULT_BOUND = 10**6
+COUNT_BOUND = 10**8  # largest q whose points count_points sweeps
 
 
 class SingularCurveError(ValueError):
@@ -42,7 +43,7 @@ class GroupStructure:
 class Curve:
     """y^2 = x^3 + a*x + b over the field context ctx."""
 
-    __slots__ = ("ctx", "a", "b")
+    __slots__ = ("ctx", "a", "b", "_count")
 
     def __init__(self, ctx, a, b):
         if ctx.char <= 3:
@@ -54,6 +55,7 @@ class Curve:
         self.ctx = ctx
         self.a = a
         self.b = b
+        self._count = None
         F = ctx
         disc = F.add(
             F.mul(F.from_int(4), F.mul(a, F.mul(a, a))),
@@ -139,22 +141,17 @@ class Curve:
     # -- point counting and group structure (prime fields / small fields) --
 
     def count_points(self) -> int:
-        """|E(F_p)| by a full x-sweep against a table of squares."""
+        """|E(F_p)| by a full x-sweep against a table of squares, swept once
+        per curve and kept (the curve is immutable).  Raises CapacityError
+        for p > COUNT_BOUND."""
         if not isinstance(self.ctx, PrimeField):
             raise TypeError("count_points runs over the prime base field")
-        p = self.ctx.p
-        sq = bytearray(p)
-        for z in range(p // 2 + 1):
-            sq[z * z % p] = 1
-        a, b = self.a, self.b
-        count = 1
-        for x in range(p):
-            r = (x * x * x + a * x + b) % p
-            if r == 0:
-                count += 1
-            elif sq[r]:
-                count += 2
-        return count
+        if self._count is None:
+            p = self.ctx.p
+            if p > COUNT_BOUND:
+                raise CapacityError(f"q = {p} exceeds the point-count bound {COUNT_BOUND}")
+            self._count = _count_sweep(p, self.a, self.b)
+        return self._count
 
     def trace(self) -> int:
         return self.ctx.p + 1 - self.count_points()
@@ -194,6 +191,20 @@ class Curve:
                 yield (x, y)
 
 
+def _count_sweep(p: int, a: int, b: int) -> int:
+    sq = bytearray(p)
+    for z in range(p // 2 + 1):
+        sq[z * z % p] = 1
+    count = 1
+    for x in range(p):
+        r = (x * x * x + a * x + b) % p
+        if r == 0:
+            count += 1
+        elif sq[r]:
+            count += 2
+    return count
+
+
 def curve_from_ints(p: int, a: int, b: int) -> Curve:
     return Curve(PrimeField(p), a, b)
 
@@ -204,5 +215,6 @@ __all__ = [
     "SingularCurveError",
     "CapacityError",
     "DEFAULT_BOUND",
+    "COUNT_BOUND",
     "curve_from_ints",
 ]

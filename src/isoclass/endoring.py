@@ -19,10 +19,10 @@ from .field import (
     NotInvertibleError,
     PrimeField,
     Poly,
+    Reducer,
     poly_deg,
     poly_divmod,
     poly_invmod,
-    poly_mod,
     poly_mul,
     poly_neg,
     poly_powmod,
@@ -106,20 +106,20 @@ def division_polys(curve: Curve, n_max: int) -> DivisionPolySet:
     return DivisionPolySet(curve, n_max)
 
 
-def _scalar_maps(psit: DivisionPolySet, n: int, modulus: Poly) -> tuple[Poly, Poly]:
-    """(X, Omega) with [n](x, y) = (X(x), y*Omega(x)) in F_p[x]/(modulus).
+def _scalar_maps(psit: DivisionPolySet, n: int, reducer: Reducer) -> tuple[Poly, Poly]:
+    """(X, Omega) with [n](x, y) = (X(x), y*Omega(x)) in F_p[x]/(modulus),
+    the modulus being the reducer's.
 
     Raises NotInvertibleError (with a factor of the modulus) when a needed
     denominator is not invertible there.
     """
     p = psit.p
+    red = reducer.reduce
+    modulus = reducer.m
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return poly_mod([0, 1], modulus, p), poly_mod([1], modulus, p)
-
-    def red(q: Poly) -> Poly:
-        return poly_mod(q, modulus, p)
+        return red([0, 1]), red([1])
 
     pm2 = red(psit[n - 2])
     pm1 = red(psit[n - 1])
@@ -182,8 +182,9 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     def component_ok(modulus: Poly, compare_y: bool) -> bool:
         if poly_deg(modulus) < 1:
             return True
+        reducer = Reducer(modulus, p)
         try:
-            xmap, omega = _scalar_maps(psit, n, modulus)
+            xmap, omega = _scalar_maps(psit, n, reducer)
         except NotInvertibleError as err:
             factor = err.factor
             if poly_deg(factor) == poly_deg(modulus):
@@ -196,7 +197,7 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
             return False
         if compare_y:
             half = poly_powmod(psit.f, (q - 1) // 2, modulus, p)
-            target = omega if sign == 1 else poly_mod(poly_neg(omega, p), modulus, p)
+            target = omega if sign == 1 else reducer.reduce(poly_neg(omega, p))
             if half != target:
                 return False
         return True

@@ -133,6 +133,10 @@ class PrimeField:
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over F_p
 
+# Operands at least this long are multiplied by Kronecker packing; a
+# Reducer divides by multiplying once its quotients are that long.
+PACK_THRESHOLD = 32
+
 
 class NotInvertibleError(ArithmeticError):
     """Inversion failed in F_p[x]/(modulus); .factor is a nontrivial monic
@@ -180,7 +184,7 @@ def poly_scale(a: Poly, c: int, p: int) -> Poly:
 def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
     if not a or not b:
         return []
-    if len(a) >= 32 and len(b) >= 32:
+    if len(a) >= PACK_THRESHOLD and len(b) >= PACK_THRESHOLD:
         return _poly_mul_packed(a, b, p)
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -283,18 +287,77 @@ def poly_invmod(a: Poly, m: Poly, p: int) -> Poly:
     return poly_mod(u, m, p)
 
 
+class Reducer:
+    """Remainders modulo a fixed modulus m of degree n in F_p[x].
+
+    For n > PACK_THRESHOLD it holds inv = rev(m)^-1 mod x^(n-1), found once
+    by Newton iteration, and reduces a dividend of degree <= 2n - 2 with two
+    packed multiplies: the quotient q is rev(a) * inv mod x^(deg a - n + 1)
+    read backwards, the remainder a - q*m (von zur Gathen & Gerhard, Modern
+    Computer Algebra, section 9.1).  Longer dividends lose one top block of
+    2n - 1 coefficients at a time.  Smaller moduli keep schoolbook division.
+    """
+
+    __slots__ = ("m", "p", "n", "inv")
+
+    def __init__(self, m: Poly, p: int):
+        self.m = poly_trim([c % p for c in m])
+        if not self.m:
+            raise ZeroDivisionError("polynomial division by zero")
+        self.p = p
+        self.n = poly_deg(self.m)
+        self.inv = None
+        if self.n > PACK_THRESHOLD:  # a full quotient has n - 1 coefficients
+            self.inv = _inverse_series(self.m[::-1], self.n - 1, p)
+
+    def reduce(self, a: Poly) -> Poly:
+        """a mod m."""
+        if self.inv is None:
+            return poly_mod(a, self.m, self.p)
+        n, p = self.n, self.p
+        a = poly_trim([c % p for c in a])
+        while len(a) > 2 * n - 1:
+            s = len(a) - (2 * n - 1)
+            a = poly_trim(a[:s] + self._reduce_block(a[s:]))
+        if len(a) <= n:
+            return a
+        return poly_trim(self._reduce_block(a))
+
+    def _reduce_block(self, a: Poly) -> Poly:
+        # n < len(a) <= 2n - 1 and a[-1] != 0; returns n coefficients
+        n, p = self.n, self.p
+        k = len(a) - n  # length of the quotient
+        rev_q = poly_mul(a[: n - 1 : -1], self.inv[:k], p)[:k]
+        q = [0] * (k - len(rev_q)) + rev_q[::-1]
+        qm = poly_mul(q, self.m, p)
+        return [(x - y) % p for x, y in zip(a[:n], qm[:n])]
+
+
+def _inverse_series(f: Poly, k: int, p: int) -> Poly:
+    """f^-1 mod x^k for f[0] != 0, by Newton iteration g <- 2g - f g^2,
+    which doubles the number of correct coefficients each step."""
+    g = [pow(f[0], p - 2, p)]
+    prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        fg = poly_mul(f[:prec], g, p)[:prec]
+        g = poly_sub(poly_scale(g, 2, p), poly_mul(g, fg, p)[:prec], p)
+    return g
+
+
 def poly_powmod(base: Poly, e: int, m: Poly, p: int) -> Poly:
     """base^e mod m by square-and-multiply; modulus degree must be >= 1."""
     if not m or poly_deg(m) < 1:
         raise ValueError("modulus must have degree >= 1")
     if e < 0:
         raise ValueError("negative exponent")
+    red = Reducer(m, p).reduce
     result = [1]
-    base = poly_mod(base, m, p)
+    base = red(base)
     while e:
         if e & 1:
-            result = poly_mod(poly_mul(result, base, p), m, p)
-        base = poly_mod(poly_mul(base, base, p), m, p)
+            result = red(poly_mul(result, base, p))
+        base = red(poly_mul(base, base, p))
         e >>= 1
     return result
 

@@ -12,6 +12,7 @@ a conjunction of per-prime rules: "k even" from the 2-adic cases and
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -155,10 +156,17 @@ class IsoPattern:
 
     @property
     def allowed(self) -> frozenset:
-        """The residues k mod modulus that are allowed.  Listing them costs
-        O(modulus), so ask only when the modulus is small."""
+        """The residues k mod modulus that are allowed (0 standing for
+        k = modulus).  Every rule's divisor divides the modulus, so a sieve
+        over the residues decides them; it costs O(modulus), so ask only when
+        the modulus is small."""
         m = self.modulus
-        return frozenset(r for r in range(m) if pattern_eval(self, r or m))
+        sieve = bytearray([1]) * m
+        if self.even:
+            sieve[1::2] = bytes(len(range(1, m, 2)))
+        for d in self.not_dividing:
+            sieve[::d] = bytes(len(range(0, m, d)))
+        return frozenset(itertools.compress(range(m), sieve))
 
 
 def iso_pattern(inp: ComparisonInput) -> IsoPattern:

@@ -1,9 +1,13 @@
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from isoclass import curve
 from isoclass.cli import (
     main,
     parse_curve_spec,
@@ -197,6 +201,50 @@ def test_exit_code_count_mismatch(capsys):
 def test_exit_code_capacity(capsys):
     assert main(["oracle", "3329:49,0", "3329:1,98", "--kmax", "3"]) == 5
     capsys.readouterr()
+
+
+def test_exit_code_count_bound(monkeypatch, capsys):
+    # refused before the sweep allocates its table of squares
+    def no_sweep(p, a, b):
+        raise AssertionError("swept past COUNT_BOUND")
+
+    monkeypatch.setattr(curve, "_count_sweep", no_sweep)
+    assert curve.COUNT_BOUND == 10**8
+    assert main(["analyze", "100000007:1,1"]) == 5
+    assert "point-count bound" in capsys.readouterr().err
+
+
+def test_each_curve_counted_once(monkeypatch, capsys):
+    sweeps = []
+    sweep = curve._count_sweep
+
+    def counted(p, a, b):
+        sweeps.append(p)
+        return sweep(p, a, b)
+
+    monkeypatch.setattr(curve, "_count_sweep", counted)
+    assert main(["analyze", "3329:3,1152"]) == 0
+    assert sweeps == [3329]
+    sweeps.clear()
+    assert main(["compare", "3329:49,0", "3329:1,98"]) == 0
+    assert sweeps == [3329, 3329]
+    capsys.readouterr()
+
+
+def test_python_m_isoclass():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "isoclass", "analyze", "3329:3,1152"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "conductor g = 2" in run.stdout
+    run = subprocess.run(
+        [sys.executable, "-m", "isoclass", "analyze", "5:0,1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 3
 
 
 def test_usage_error_is_2(capsys):

@@ -75,7 +75,7 @@ def test_division_poly_set_extends_on_demand():
 def test_scalar_maps_match_scalar_mul():
     # evaluate the rational maps numerically at sample points
     from isoclass.endoring import _scalar_maps
-    from isoclass.field import poly_mod
+    from isoclass.field import Reducer, poly_mod
 
     e = Curve(PrimeField(101), 3, 8)
     p = 101
@@ -92,7 +92,7 @@ def test_scalar_maps_match_scalar_mul():
                 continue
             mod = [(-x0) % p, 1]
             try:
-                xmap, omega = _scalar_maps(psit, n, mod)
+                xmap, omega = _scalar_maps(psit, n, Reducer(mod, p))
             except Exception:
                 continue  # denominator vanishes at x0 (point near the kernel)
             got_x = poly_eval(poly_mod(xmap, mod, p), x0, p)

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from isoclass.field import (
+    PACK_THRESHOLD,
     ExtField,
     NotInvertibleError,
     PrimeField,
+    Reducer,
     find_irreducible,
     is_prime,
     legendre,
@@ -162,6 +164,51 @@ def test_poly_powmod_known():
     assert poly_powmod([0, 1], 4, [1, 0, 1], p) == [1]
     assert poly_powmod([0, 1], 5, [2, 0, 1], p) == [0, 4]
     assert poly_powmod([0, 1], 0, [1, 0, 1], p) == [1]
+
+
+def _random_poly(rng, n, p):
+    """Degree exactly n, lead not necessarily 1."""
+    return [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+
+
+def test_reducer_matches_divmod():
+    # degrees on both sides of PACK_THRESHOLD, non-monic moduli, dividends
+    # from degree 0 (already reduced) up to 3n (several top blocks)
+    rng = random.Random(5)
+    primes = (5, 2909, 1000003, 2**61 - 1)
+    edges = (1, PACK_THRESHOLD - 1, PACK_THRESHOLD, PACK_THRESHOLD + 1, 2 * PACK_THRESHOLD, 150)
+    for n in range(1, 151):
+        for p in primes if n in edges else (primes[n % 4],):
+            m = _random_poly(rng, n, p)
+            red = Reducer(m, p)
+            degrees = {0, n - 1, n, n + 1, 2 * n - 2, 2 * n - 1, 2 * n, 3 * n, rng.randrange(3 * n + 1)}
+            for d in sorted(degrees):
+                a = _random_poly(rng, d, p)
+                assert red.reduce(a) == poly_divmod(a, m, p)[1], (n, p, d)
+            assert red.reduce([]) == []
+            assert red.reduce(m) == []
+            # unreduced coefficients and a zero top block
+            a = [rng.randrange(-3 * p, 3 * p) for _ in range(2 * n + 3)]
+            assert red.reduce(a) == poly_divmod(a, m, p)[1], (n, p)
+            assert red.reduce([0] * n + m) == []
+
+
+def test_reducer_rejects_zero_modulus():
+    with pytest.raises(ZeroDivisionError):
+        Reducer([0, 0], 5)
+
+
+def test_poly_powmod_matches_repeated_multiply():
+    rng = random.Random(6)
+    for n, p in ((32, 2909), (45, 1000003), (70, 2**61 - 1)):
+        m = _random_poly(rng, n, p)
+        for base, emax in (([0, 1], 10**4), (_random_poly(rng, n + 3, p), 300)):
+            checks = {0, 1, 2, 3, 31, 32, 33, emax - 1, emax} | {rng.randrange(emax) for _ in range(5)}
+            acc = [1]
+            for e in range(emax + 1):
+                if e in checks:
+                    assert poly_powmod(base, e, m, p) == acc, (n, p, e)
+                acc = poly_divmod(poly_mul(acc, base, p), m, p)[1]
 
 
 def test_poly_eval():

@@ -152,6 +152,31 @@ def test_iso_pattern_canonical_equality():
         assert pat.allowed == frozenset(k % m for k in range(1, m + 1) if kset[k - 1])
 
 
+def _allowed_by_eval(pat):
+    m = pat.modulus
+    return frozenset(r for r in range(m) if pattern_eval(pat, r or m))
+
+
+def test_allowed_sieve_matches_pattern_eval():
+    # every canonical form with divisors up to 8, then a modulus near 10^5
+    forms = {
+        IsoPattern(even, ds)
+        for even in (False, True)
+        for size in range(9)
+        for ds in itertools.combinations(range(1, 9), size)
+    }
+    for pat in forms:
+        assert pat.allowed == _allowed_by_eval(pat), pat
+    for even in (False, True):
+        pat = IsoPattern(even, (4, 3, 7, 29, 41))
+        assert pat.modulus == 99876
+        allowed = pat.allowed
+        assert allowed == _allowed_by_eval(pat)
+        assert (0 in allowed) == pattern_eval(pat, 99876)
+        # by CRT: k mod 4 in {1, 2, 3} ({2} when even), times 2 * 6 * 28 * 40
+        assert len(allowed) == (1 if even else 3) * 2 * 6 * 28 * 40
+
+
 def test_iso_pattern_example1():
     frob = EXAMPLE1.frob
     gs = EXAMPLE1.conductors

@@ -232,7 +232,9 @@ def _full_torsion_action(
 ) -> list[bool]:
     """Pointwise oracle for c = lp^j, j = 1..jmax, in one walk up the
     extensions: each j is decided in the smallest extension containing all
-    of E[c], by comparing tau with [a mod c] on every torsion point."""
+    of E[c], by comparing tau with [a mod c] on every torsion point.  By the
+    Weil pairing E[c] fits in F_{q^m} only if c | q^m - 1, so other m are
+    skipped unlisted."""
     from . import enumeration
 
     q = frob.q
@@ -243,11 +245,13 @@ def _full_torsion_action(
     while len(passes) < jmax:
         m += 1
         size *= q
+        c = lp ** (len(passes) + 1)
         if size > bound:
-            c = lp ** (len(passes) + 1)
             raise CapacityError(
                 f"E[{c}] does not appear within the enumeration bound {bound}"
             )
+        if (size - 1) % c:
+            continue
         ctx = base if m == 1 else ExtField(base, m)
         lifted = curve if m == 1 else curve.lift(ctx)
         tors = enumeration.lpower_torsion(lifted, lp, jmax)

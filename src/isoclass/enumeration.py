@@ -1,14 +1,21 @@
-"""Exhaustive point enumeration and torsion scanning, vectorized with numpy.
+"""Exhaustive point enumeration and l-Sylow structure: the brute-force oracle.
 
-This is the brute-force side of the library: group structures and torsion
-subgroups computed by listing every point of E(F_{p^k}), with no input from
-the Frobenius-based predictions it is used to cross-check.
+Group structures and torsion subgroups of E(F_{p^k}) are read off the list
+of every point, with no input from the Frobenius-based predictions they are
+used to cross-check.
 
-Field elements are held in discrete-log form: a nonzero element is its log
-base a fixed generator (int32 in [0, q-2]) and zero is the sentinel
-BIG = 2(q-1).  Multiplication is log addition, inversion is negation, and
-addition goes through a Zech logarithm table zech[d] = log(1 + g^d), so
-every bulk operation is flat index arithmetic plus at most one gather.
+The listing is vectorized with numpy.  Field elements are held in
+discrete-log form: a nonzero element is its log base a fixed generator
+(int32 in [0, q-2]) and zero is the sentinel BIG = 2(q-1).  Multiplication
+is log addition, negation adds log(-1), and addition goes through a Zech
+logarithm table zech[d] = log(1 + g^d), so the listing is flat index
+arithmetic plus a few gathers.  Its length gives N = |E(F)|.
+
+The structure then comes from a few listed points and plain Curve
+arithmetic.  For each l^e || N the rows, in order, are pushed into the
+l-Sylow subgroup S by the cofactor N/l^e, and a basis S = <P> (+) <Q> is
+grown by Pohlig-Hellman reduction in the cyclic group <P> until it has
+l^e elements.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curve import Curve, GroupStructure
-from .quadorder import factorize
+from .quadorder import factorize, vp
 
 
 class _BulkField:
@@ -68,13 +75,12 @@ class _BulkField:
         neg1 = ctx.encode(ctx.neg(ctx.one))
         if int(dlog[neg1]) != self.half:
             raise AssertionError("log(-1) mismatch")
-        self.l2 = self.elem_log(ctx.from_int(2))
-        self.l3 = self.elem_log(ctx.from_int(3))
 
     def _find_generator(self):
         ctx = self.ctx
         fac = factorize(self.n)
-        for code in range(2, self.q):
+        # codes below p are constants of F_p^*, which cannot generate F_{p^k}^*
+        for code in range(2 if self.k == 1 else self.p, self.q):
             elt = ctx.decode(code)
             if all(ctx.pow(elt, self.n // l) != ctx.one for l in fac):
                 return elt
@@ -85,28 +91,9 @@ class _BulkField:
     def elem_log(self, elt) -> int:
         return int(self.dlog[self.ctx.encode(elt)])
 
-    def to_codes(self, logs: np.ndarray) -> np.ndarray:
-        return self.exp_pad[logs]
-
-    def lmul(self, a, b):
-        out = (a + b) % self.n
-        out[(a == self.BIG) | (b == self.BIG)] = self.BIG
-        return out
-
     def lscale(self, a, s: int):
         """Multiply by a fixed nonzero element given as its log."""
         out = (a + np.int32(s)) % self.n
-        out[a == self.BIG] = self.BIG
-        return out
-
-    def lsq(self, a):
-        out = (a + a) % self.n
-        out[a == self.BIG] = self.BIG
-        return out
-
-    def linv(self, a):
-        """Zero rows stay the zero sentinel; callers mask them out."""
-        out = (self.n - a) % self.n
         out[a == self.BIG] = self.BIG
         return out
 
@@ -126,9 +113,6 @@ class _BulkField:
         out[ma] = b[ma]
         return out
 
-    def lsub(self, a, b):
-        return self.ladd(a, self.lneg(b))
-
 
 @lru_cache(maxsize=4)
 def _tables(ctx):
@@ -144,10 +128,8 @@ def _tables(ctx):
 
 
 def _enumerate_points(curve: Curve):
-    """Log arrays (X, Y) of every affine point, one row per point, and the
-    number n_pairs of x with two points.  Each x is listed once (the y = 0
-    points, then one point of each +-y pair), followed by the negations, so
-    row i + n_pairs is the negation of pair row i."""
+    """Log arrays (X, Y) of every affine point, one row per point: the y = 0
+    points, then one point of each +-y pair, then their negations."""
     bulk, root = _tables(curve.ctx)
     n = bulk.n
     lx = np.empty(bulk.q, dtype=np.int32)
@@ -168,117 +150,83 @@ def _enumerate_points(curve: Curve):
     y1 = r[two]
     X = np.concatenate([x0, x1, x1])
     Y = np.concatenate([np.full(x0.size, bulk.BIG, np.int32), y1, bulk.lneg(y1)])
-    return bulk, X, Y, x1.size
+    return bulk, X, Y
 
 
 def _nonzero(ctx, elt) -> bool:
     return elt != ctx.zero
 
 
-def _bulk_add(bulk, lA, X1, Y1, I1, X2, Y2, I2):
-    """One masked affine addition over all rows at once."""
-    eq_x = X1 == X2
-    cancel = eq_x & (Y1 == bulk.lneg(Y2))  # P + (-P), includes 2-torsion doubling
-    dbl = eq_x & ~cancel
-    sq = bulk.lscale(bulk.lsq(X1), bulk.l3)  # 3*x1^2
-    if lA != bulk.BIG:
-        num_dbl = bulk.ladd(sq, np.full(sq.size, lA, dtype=np.int32))
-    else:
-        num_dbl = sq
-    num = np.where(dbl, num_dbl, bulk.lsub(Y2, Y1))
-    den = np.where(dbl, bulk.lscale(Y1, bulk.l2), bulk.lsub(X2, X1))
-    lam = bulk.lmul(num, bulk.linv(den))
-    X3 = bulk.lsub(bulk.lsub(bulk.lsq(lam), X1), X2)
-    Y3 = bulk.lsub(bulk.lmul(lam, bulk.lsub(X1, X3)), Y1)
-    both = ~I1 & ~I2
-    I3 = (both & cancel) | (I1 & I2)
-    use1 = ~I1 & I2
-    use2 = I1
-    X3 = np.where(use1, X1, np.where(use2, X2, X3))
-    Y3 = np.where(use1, Y1, np.where(use2, Y2, Y3))
-    X3[I3] = bulk.BIG
-    Y3[I3] = bulk.BIG
-    return X3, Y3, I3
+def _listed_points(curve: Curve):
+    """N = |E(F)| and a function that yields the affine points, decoded one
+    at a time in row order."""
+    bulk, X, Y = _enumerate_points(curve)
+    ctx = curve.ctx
+
+    def rows():
+        for x, y in zip(X, Y):
+            yield ctx.decode(int(bulk.exp_pad[x])), ctx.decode(int(bulk.exp_pad[y]))
+
+    return 1 + X.size, rows
 
 
-def _bulk_scalar_mul(bulk, lA, X, Y, n: int):
-    """[n]P for every row of (X, Y); returns (X', Y', inf_mask)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    rows = X.shape[0]
-    rX = np.full(rows, bulk.BIG, dtype=np.int32)
-    rY = np.full(rows, bulk.BIG, dtype=np.int32)
-    rI = np.ones(rows, dtype=bool)
-    aX, aY = X.copy(), Y.copy()
-    aI = np.zeros(rows, dtype=bool)
-    while n:
-        if n & 1:
-            rX, rY, rI = _bulk_add(bulk, lA, rX, rY, rI, aX, aY, aI)
-        n >>= 1
-        if n:
-            aX, aY, aI = _bulk_add(bulk, lA, aX, aY, aI, aX, aY, aI)
-    return rX, rY, rI
+def _log_order(curve: Curve, l: int, T) -> int:
+    """i with ord T = l^i, for T in an l-group."""
+    i = 0
+    while T is not None:
+        T = curve.scalar_mul(l, T)
+        i += 1
+    return i
 
 
-class _PointSet:
-    """Enumerated affine points with indexed lookup of [n]P images."""
+def _sylow_basis(curve: Curve, N: int, rows, l: int):
+    """((P, a), (Q, b)) with S = <P> (+) <Q> the l-Sylow subgroup of E(F),
+    ord P = l^a >= ord Q = l^b, from the listed points in row order.
 
-    def __init__(self, curve: Curve):
-        bulk, X, Y, n_pairs = _enumerate_points(curve)
-        self.bulk = bulk
-        self.lA = bulk.elem_log(curve.a) if _nonzero(curve.ctx, curve.a) else bulk.BIG
-        self.X = X
-        self.Y = Y
-        self.order = 1 + X.shape[0]
-        self.n_pairs = n_pairs
-        # first row of each x, indexed by log x (BIG for x = 0); x off the
-        # curve points at row 0, which the lookup then rejects
-        distinct = X.size - n_pairs
-        self.row_of_x = np.zeros(bulk.BIG + 1, dtype=np.intp)
-        self.row_of_x[X[:distinct]] = np.arange(distinct)
-
-    def scalar_map(self, n: int) -> np.ndarray:
-        """Index array: row j holds the point-list index of [n]P_j, -1 for
-        infinity.  Every image must land back in the enumerated set."""
-        X3, Y3, I3 = _bulk_scalar_mul(self.bulk, self.lA, self.X, self.Y, n)
-        out = self.row_of_x[X3]
-        out[self.Y[out] != Y3] += self.n_pairs
-        found = (self.X[out] == X3) & (self.Y[out] == Y3)
-        if not (found | I3).all():
-            raise AssertionError("scalar multiple left the enumerated point set")
-        out[I3] = -1
-        return out
-
-
-def _killed_masks(pts: _PointSet, l: int):
-    """Masks of the points killed by l^j for j = 1, 2, ..., one [l]-map
-    gather per step."""
-    to = pts.scalar_map(l)
-    reach = to
-    while True:
-        killed = reach == -1
-        yield killed
-        reach = np.where(killed, -1, to[reach])
+    Each row R gives Q = [N/l^e]R in S, of order l^b.  P is the element of
+    largest order seen so far; a Q of larger order takes its place and the
+    old P is reduced instead.  Q is reduced modulo <P> by Pohlig-Hellman:
+    while U = [l^(b-1)]Q (of order dividing l) lies in <[l^(a-1)]P>, read
+    off as U = [c][l^(a-1)]P from a table, subtracting [c l^(a-b)]P kills U
+    and drops b.  When U is outside <P>, Q has order l^b modulo <P> and <P>
+    meets <Q> trivially, so a + b = e means <P> (+) <Q> = S.
+    """
+    e = vp(N, l)
+    cofactor = N // l**e
+    P, a, table = None, 0, {}
+    Q, b = None, 0
+    pts = rows()
+    while a + b < e:
+        R = next(pts, None)
+        if R is None:
+            raise AssertionError("the listed points do not generate the l-Sylow subgroup")
+        Q = curve.scalar_mul(cofactor, R)
+        b = _log_order(curve, l, Q)
+        if b > a:
+            P, a, Q, b = Q, b, P, a
+            P1 = curve.scalar_mul(l ** (a - 1), P)
+            table = {curve.scalar_mul(c, P1): c for c in range(l)}
+        while b:
+            c = table.get(curve.scalar_mul(l ** (b - 1), Q))
+            if c is None:
+                break
+            Q = curve.add(Q, curve.scalar_mul(-c * l ** (a - b), P))
+            b -= 1
+    return (P, a), (Q, b)
 
 
 def group_structure(curve: Curve) -> GroupStructure:
     """E(F) decomposed as Z/n1 x Z/n2 (n1 | n2) by full enumeration.
 
-    n1 is built one prime at a time: alpha_l is the largest i with exactly
-    l^(2i) points killed by l^i, read off by iterating the [l]-index map.
+    N is the number of listed points; for each l with l^2 | N, the l-part of
+    n1 is the order l^b of the smaller generator of the l-Sylow basis.
     """
-    pts = _PointSet(curve)
-    N = pts.order
+    N, rows = _listed_points(curve)
     n1 = 1
     for l, e in sorted(factorize(N).items()):
-        if e < 2:
-            continue
-        alpha = 0
-        for i, killed in zip(range(1, e // 2 + 1), _killed_masks(pts, l)):
-            if 1 + int(np.count_nonzero(killed)) != l ** (2 * i):
-                break
-            alpha = i
-        n1 *= l**alpha
+        if e >= 2:
+            _, (_, b) = _sylow_basis(curve, N, rows, l)
+            n1 *= l**b
     n2 = N // n1
     if n2 % n1 != 0 or (curve.ctx.size - 1) % n1 != 0:
         raise AssertionError("invariant factor shape violated")
@@ -287,19 +235,20 @@ def group_structure(curve: Curve) -> GroupStructure:
 
 def lpower_torsion(curve: Curve, l: int, jmax: int) -> dict[int, list]:
     """E[l^j](F) for j = 1..jmax as lists of (x, y) field elements (without
-    the point at infinity)."""
-    pts = _PointSet(curve)
-    bulk = pts.bulk
-    ctx = curve.ctx
+    the point at infinity), spanned by [l^(a-j)]P and [l^(b-j)]Q from the
+    l-Sylow basis (exponents floored at 0)."""
+    N, rows = _listed_points(curve)
+    basis = _sylow_basis(curve, N, rows, l)
     out: dict[int, list] = {}
-    for j, killed in zip(range(1, jmax + 1), _killed_masks(pts, l)):
-        idx = np.nonzero(killed)[0]
-        xcodes = bulk.to_codes(pts.X[idx])
-        ycodes = bulk.to_codes(pts.Y[idx])
-        out[j] = [
-            (ctx.decode(int(xc)), ctx.decode(int(yc)))
-            for xc, yc in zip(xcodes, ycodes)
-        ]
+    for j in range(1, jmax + 1):
+        span = [None]
+        for G, n in basis:
+            G = curve.scalar_mul(l ** max(n - j, 0), G)
+            multiples = [None]
+            for _ in range(l ** min(n, j) - 1):
+                multiples.append(curve.add(multiples[-1], G))
+            span = [curve.add(R, M) for R in span for M in multiples]
+        out[j] = span[1:]
     return out
 
 

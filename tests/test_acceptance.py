@@ -183,7 +183,7 @@ def test_criterion_5_small_field_oracle_sweep():
     with criterion(
         5,
         "every distinct-conductor pair over 5<=q<60 vs enumerated structures, q^k<=1e6",
-        300,
+        120,
     ):
         classes = _scan_classes()
         pairs = []
@@ -249,7 +249,7 @@ def test_criterion_6_valuation_identities():
 
 
 def test_criterion_7_conductor_bruteforce_crosscheck():
-    with criterion(7, "division-polynomial conductor vs torsion-field enumeration, b<=6", 300):
+    with criterion(7, "division-polynomial conductor vs torsion-field enumeration, b<=6", 120):
         verified = skipped = 0
         for q, t, frob, byg in _scan_classes():
             if frob.b > 6:

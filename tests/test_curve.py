@@ -9,9 +9,16 @@ from isoclass.curve import (
     SingularCurveError,
     curve_from_ints,
 )
-from isoclass.enumeration import _PointSet, count_all_curves, group_structure, lpower_torsion
+from isoclass.enumeration import (
+    _listed_points,
+    _sylow_basis,
+    _tables,
+    count_all_curves,
+    group_structure,
+    lpower_torsion,
+)
 from isoclass.field import ExtField, PrimeField
-from isoclass.quadorder import frobenius_from_trace
+from isoclass.quadorder import frobenius_from_trace, vp
 
 
 def test_rejects_singular_and_small_char():
@@ -166,23 +173,97 @@ def test_lpower_torsion():
         assert sorted(exact) == sorted(naive)
 
 
-@pytest.mark.parametrize("p, k, a, b", [(13, 1, 1, 1), (7, 2, 3, 0)])
-def test_scalar_map_matches_scalar_mul(p, k, a, b):
+def _ctx(p, k):
     base = PrimeField(p)
-    ctx = base if k == 1 else ExtField(base, k)
-    e = Curve(base, a, b)
+    return base if k == 1 else ExtField(base, k)
+
+
+def _naive_structure(e):
+    """(n1, n2) from the point count and the largest point order, each order
+    found by dividing N by its primes while Curve.scalar_mul gives O."""
+    pts = [None] + list(e.points())
+    N = len(pts)
+    primes = [d for d in range(2, N + 1) if N % d == 0 and all(d % r for r in range(2, d))]
+    n2 = 1
+    for pt in pts:
+        order = N
+        for d in primes:
+            while order % d == 0 and e.scalar_mul(order // d, pt) is None:
+                order //= d
+        n2 = max(n2, order)
+        if n2 == N:
+            break
+    return N // n2, n2
+
+
+@pytest.mark.parametrize("p, k, a, b", [(13, 1, 1, 1), (7, 2, 3, 0)])
+def test_sylow_basis_matches_scalar_mul(p, k, a, b):
+    ctx = _ctx(p, k)
+    e = Curve(PrimeField(p), a, b)
     e = e if k == 1 else e.lift(ctx)
-    pts = _PointSet(e)
-    codes = zip(pts.bulk.to_codes(pts.X), pts.bulk.to_codes(pts.Y))
-    listed = [(ctx.decode(int(xc)), ctx.decode(int(yc))) for xc, yc in codes]
-    assert sorted(listed) == sorted(e.points())
-    # log x = BIG (x = 0) and the y = 0 rows both occur
+    N, rows = _listed_points(e)
+    listed = list(rows())
+    assert sorted(listed) == sorted(e.points()) and N == 1 + len(listed)
+    # x = 0 and y = 0 rows both occur
     assert any(x == ctx.zero for x, _ in listed)
     assert any(y == ctx.zero for _, y in listed)
-    for n in range(1, 6):
-        got = pts.scalar_map(n)
-        want = [e.scalar_mul(n, pt) for pt in listed]
-        assert [None if j == -1 else listed[j] for j in got] == want, n
+    for l in (2, 3):
+        v = vp(N, l)
+        sylow = {pt for pt in [None] + listed if e.scalar_mul(l**v, pt) is None}
+        (P, ea), (Q, eb) = _sylow_basis(e, N, rows, l)
+        assert eb <= ea and ea + eb == v
+        for G, n in ((P, ea), (Q, eb)):
+            assert e.scalar_mul(l**n, G) is None
+            assert n == 0 or e.scalar_mul(l ** (n - 1), G) is not None
+        span = {
+            e.add(e.scalar_mul(i, P), e.scalar_mul(j, Q))
+            for i in range(l**ea)
+            for j in range(l**eb)
+        }
+        assert span == sylow
+        tors = lpower_torsion(e, l, 3)
+        for j in (1, 2, 3):
+            naive = {pt for pt in listed if e.scalar_mul(l**j, pt) is None}
+            assert len(tors[j]) == len(naive) and set(tors[j]) == naive, (l, j)
+
+
+def test_group_structure_matches_naive_seeded():
+    rng = random.Random(2024)
+    fields = [_ctx(p, 1) for p in (37, 61, 97, 109)] + [_ctx(5, 2), _ctx(7, 2), _ctx(5, 3)]
+    shapes = set()
+    for _ in range(300):
+        ctx = rng.choice(fields)
+        a, b = (ctx.decode(rng.randrange(ctx.size)) for _ in range(2))
+        try:
+            e = Curve(ctx, a, b)
+        except SingularCurveError:
+            continue
+        s = group_structure(e)
+        assert (s.n1, s.n2) == _naive_structure(e), (ctx, a, b)
+        for l in (2, 3):
+            if s.n1 % l == 0:
+                shapes.add((l, vp(s.n1, l), vp(s.n2, l)))
+    # non-cyclic l-parts Z/l^i x Z/l^j with j > i >= 1, where a second point
+    # of order above l^i is reduced modulo <P> by Pohlig-Hellman
+    assert {(2, 1, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2)} <= shapes, shapes
+
+
+def test_generator_search_starts_at_p():
+    for p, k in ((13, 1), (7, 2), (5, 3), (97, 2)):
+        ctx = _ctx(p, k)
+        n = ctx.size - 1
+        primes = [l for l in range(2, n + 1) if n % l == 0 and all(l % d for d in range(2, l))]
+        first = next(
+            ctx.decode(code)
+            for code in range(2, ctx.size)
+            if all(ctx.pow(ctx.decode(code), n // l) != ctx.one for l in primes)
+        )
+        gen = _tables(ctx)[0]._find_generator()
+        assert gen == first
+        x, order = gen, 1
+        while x != ctx.one:
+            x, order = ctx.mul(x, gen), order + 1
+        assert order == n
 
 
 def test_capacity_error():

@@ -10,8 +10,8 @@ from isoclass.endoring import (
     division_polys,
     scalar_action_test,
 )
-from isoclass.field import PrimeField, poly_eval, poly_gcd
-from isoclass.quadorder import frobenius_from_trace
+from isoclass.field import ExtField, PrimeField, poly_eval, poly_gcd
+from isoclass.quadorder import factorize, frobenius_from_trace
 
 from conftest import EXAMPLE1
 
@@ -166,6 +166,42 @@ def test_conductor_bruteforce_small_scan():
                 assert g == gb, (p, a, b)
                 checked += 1
     assert checked >= 10
+
+
+def test_conductor_bruteforce_needs_exactly_the_torsion_field():
+    # the walk skips only fields that cannot hold E[c]: it succeeds with the
+    # bound at the smallest F_{q^m} whose group has c | n1 for every c = l^v
+    # exactly dividing b, and raises one below it
+    rng = random.Random(3)
+    checked = 0
+    for p in (5, 7, 11, 13, 17, 19, 23):
+        f = PrimeField(p)
+        for a, b in rng.sample([(a, b) for a in range(p) for b in range(p)], 12):
+            if (4 * a**3 + 27 * b**2) % p == 0:
+                continue
+            e = Curve(f, a, b)
+            t = e.trace()
+            if t % p == 0:
+                continue
+            frob = frobenius_from_trace(p, t)
+            if frob.b == 1:
+                continue
+            need = 1
+            for l, v in factorize(frob.b).items():
+                m = 1
+                while p**m <= 10**5:
+                    ek = e if m == 1 else e.lift(ExtField(f, m))
+                    if ek.group_structure_bruteforce().n1 % l**v == 0:
+                        break
+                    m += 1
+                need = max(need, p**m)
+            if need > 10**5:
+                continue
+            assert conductor_bruteforce(e, frob, bound=need) == conductor(e, frob)
+            with pytest.raises(CapacityError):
+                conductor_bruteforce(e, frob, bound=need - 1)
+            checked += 1
+    assert checked >= 10, checked
 
 
 def test_conductor_bruteforce_capacity():

@@ -19,7 +19,6 @@ from .curve import (
     curve_from_ints,
 )
 from .endoring import (
-    DivisionPolySet,
     conductor,
     conductor_bruteforce,
     division_polys,
@@ -66,7 +65,6 @@ __all__ = [
     "CapacityError",
     "ComparisonInput",
     "Curve",
-    "DivisionPolySet",
     "ExtField",
     "FrobeniusData",
     "GroupStructure",

@@ -243,10 +243,9 @@ def cmd_oracle(args) -> tuple[dict, str]:
     pattern = iso_pattern(inp)
     bound = args.bound
     q = frob.q
-    if q**args.kmax > bound:
-        raise CapacityError(
-            f"field size q^{args.kmax} = {q**args.kmax} exceeds enumeration bound {bound}"
-        )
+    # q >= 2, so q^k > bound once k >= bound.bit_length(): no huge power
+    if args.kmax >= bound.bit_length() or q**args.kmax > bound:
+        raise CapacityError(f"field size {q}^{args.kmax} exceeds enumeration bound {bound}")
     report, lines = _comparison_report(args, inp, count, pattern)
     rows = []
     base = ea.ctx

@@ -16,117 +16,97 @@ from __future__ import annotations
 from .curve import DEFAULT_BOUND, CapacityError, Curve
 from .field import (
     ExtField,
-    NotInvertibleError,
     PrimeField,
     Poly,
     Reducer,
     poly_deg,
-    poly_divmod,
-    poly_invmod,
     poly_mul,
     poly_neg,
     poly_powmod,
+    poly_scale,
     poly_sub,
     poly_trim,
 )
 from .quadorder import FrobeniusData, _is_prime_power, factorize
 
 
-class DivisionPolySet:
-    """Division polynomials psi~_n of a curve, as polynomials in x alone.
+def division_polys(curve: Curve, n_max: int) -> list[Poly]:
+    """Division polynomials psi~_0 .. psi~_n_max of a curve, as polynomials
+    in x alone.
 
     psi~_n is the standard psi_n for odd n and psi_n/(2y) for even n (so
     psi~_2 = 1); the generic degrees are (n^2-1)/2 and (n^2-4)/2.  Roots of
     psi~_n are the x-coordinates of the nonzero n-torsion for odd n, and of
     the n-torsion off E[2] for even n.
     """
-
-    def __init__(self, curve: Curve, n_max: int = 4):
-        if not isinstance(curve.ctx, PrimeField):
-            raise TypeError("division polynomials are built over the prime field")
-        self.curve = curve
-        self.p = curve.ctx.p
-        p, a, b = self.p, curve.a, curve.b
-        self.f: Poly = poly_trim([b, a, 0, 1])  # x^3 + ax + b
-        self.f2: Poly = poly_mul(self.f, self.f, p)
-        self._psi: list[Poly] = [
-            [],
-            [1],
-            [1],
-            poly_trim([-a * a % p, 12 * b % p, 6 * a % p, 0, 3]),
-            poly_trim(
-                [
-                    2 * (-8 * b * b - a * a * a) % p,
-                    2 * (-4 * a * b) % p,
-                    2 * (-5 * a * a) % p,
-                    2 * (20 * b) % p,
-                    2 * (5 * a) % p,
-                    0,
-                    2,
-                ]
-            ),
-        ]
-        self.extend(n_max)
-
-    def extend(self, n_max: int) -> None:
-        p = self.p
-        psi = self._psi
-        while len(psi) <= n_max:
-            n = len(psi)
-            m = n // 2
-            if n % 2 == 0:
-                inner = poly_sub(
-                    poly_mul(psi[m + 2], poly_mul(psi[m - 1], psi[m - 1], p), p),
-                    poly_mul(psi[m - 2], poly_mul(psi[m + 1], psi[m + 1], p), p),
-                    p,
-                )
-                psi.append(poly_mul(psi[m], inner, p))
-            else:
-                cube_m = poly_mul(psi[m], poly_mul(psi[m], psi[m], p), p)
-                cube_m1 = poly_mul(psi[m + 1], poly_mul(psi[m + 1], psi[m + 1], p), p)
-                t1 = poly_mul(psi[m + 2], cube_m, p)
-                t2 = poly_mul(psi[m - 1], cube_m1, p)
-                scale = poly_mul([16 % p], self.f2, p)
-                if m % 2 == 0:
-                    psi.append(poly_sub(poly_mul(scale, t1, p), t2, p))
-                else:
-                    psi.append(poly_sub(t1, poly_mul(scale, t2, p), p))
-
-    def __getitem__(self, n: int) -> Poly:
-        if n < 0:
-            raise IndexError("division polynomial index must be >= 0")
-        self.extend(n)
-        return self._psi[n]
-
-
-def division_polys(curve: Curve, n_max: int) -> DivisionPolySet:
-    """psi~_0 .. psi~_n_max for the curve (extendable afterwards)."""
+    if not isinstance(curve.ctx, PrimeField):
+        raise TypeError("division polynomials are built over the prime field")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return DivisionPolySet(curve, n_max)
+    p, a, b = curve.ctx.p, curve.a, curve.b
+    f = poly_trim([b, a, 0, 1])  # x^3 + ax + b
+    f2_16 = poly_scale(poly_mul(f, f, p), 16, p)
+    psi: list[Poly] = [
+        [],
+        [1],
+        [1],
+        poly_trim([-a * a % p, 12 * b % p, 6 * a % p, 0, 3]),
+        poly_trim(
+            [
+                2 * (-8 * b * b - a * a * a) % p,
+                2 * (-4 * a * b) % p,
+                2 * (-5 * a * a) % p,
+                2 * (20 * b) % p,
+                2 * (5 * a) % p,
+                0,
+                2,
+            ]
+        ),
+    ]
+    while len(psi) <= n_max:
+        n = len(psi)
+        m = n // 2
+        if n % 2 == 0:
+            inner = poly_sub(
+                poly_mul(psi[m + 2], poly_mul(psi[m - 1], psi[m - 1], p), p),
+                poly_mul(psi[m - 2], poly_mul(psi[m + 1], psi[m + 1], p), p),
+                p,
+            )
+            psi.append(poly_mul(psi[m], inner, p))
+        else:
+            cube_m = poly_mul(psi[m], poly_mul(psi[m], psi[m], p), p)
+            cube_m1 = poly_mul(psi[m + 1], poly_mul(psi[m + 1], psi[m + 1], p), p)
+            t1 = poly_mul(psi[m + 2], cube_m, p)
+            t2 = poly_mul(psi[m - 1], cube_m1, p)
+            if m % 2 == 0:
+                psi.append(poly_sub(poly_mul(f2_16, t1, p), t2, p))
+            else:
+                psi.append(poly_sub(t1, poly_mul(f2_16, t2, p), p))
+    return psi[: n_max + 1]
 
 
-def _scalar_maps(psit: DivisionPolySet, n: int, reducer: Reducer) -> tuple[Poly, Poly]:
-    """(X, Omega) with [n](x, y) = (X(x), y*Omega(x)) in F_p[x]/(modulus),
-    the modulus being the reducer's.
-
-    Raises NotInvertibleError (with a factor of the modulus) when a needed
-    denominator is not invertible there.
+def _scalar_maps(
+    psi: list[Poly], f: Poly, n: int, reducer: Reducer
+) -> tuple[tuple[Poly, Poly], tuple[Poly, Poly]]:
+    """((X_num, X_den), (Omega_num, Omega_den)) with
+    [n](x, y) = (X_num/X_den, y*Omega_num/Omega_den) in F_p[x]/(modulus),
+    the modulus being the reducer's; psi holds psi~_0 .. psi~_(n+2) and f
+    is x^3 + ax + b.
     """
-    p = psit.p
+    p = reducer.p
     red = reducer.reduce
-    modulus = reducer.m
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return red([0, 1]), red([1])
+        one = red([1])
+        return (red([0, 1]), one), (one, one)
 
-    pm2 = red(psit[n - 2])
-    pm1 = red(psit[n - 1])
-    pn = red(psit[n])
-    pp1 = red(psit[n + 1])
-    pp2 = red(psit[n + 2])
-    f = red(psit.f)
+    pm2 = red(psi[n - 2])
+    pm1 = red(psi[n - 1])
+    pn = red(psi[n])
+    pp1 = red(psi[n + 1])
+    pp2 = red(psi[n + 2])
+    f4 = red(poly_scale(f, 4, p))
     pn2 = red(poly_mul(pn, pn, p))
     pn3 = red(poly_mul(pn2, pn, p))
     cross = red(poly_mul(pm1, pp1, p))
@@ -136,15 +116,15 @@ def _scalar_maps(psit: DivisionPolySet, n: int, reducer: Reducer) -> tuple[Poly,
         p,
     )
     if n % 2 == 1:
-        xshift = red(poly_mul(poly_mul([4], f, p), cross, p))
-        xmap = poly_sub(red([0, 1]), red(poly_mul(xshift, poly_invmod(pn2, modulus, p), p)), p)
-        omega = red(poly_mul(disc, poly_invmod(pn3, modulus, p), p))
+        # X = x - 4f psi_(n-1) psi_(n+1) / psi_n^2,  Omega = disc / psi_n^3
+        den_x, den_y = pn2, pn3
+        num_x = poly_sub(red(poly_mul([0, 1], den_x, p)), red(poly_mul(f4, cross, p)), p)
     else:
-        den_x = red(poly_mul(poly_mul([4], f, p), pn2, p))
-        xmap = poly_sub(red([0, 1]), red(poly_mul(cross, poly_invmod(den_x, modulus, p), p)), p)
-        den_y = red(poly_mul(poly_mul([16], psit.f2, p), pn3, p))
-        omega = red(poly_mul(disc, poly_invmod(den_y, modulus, p), p))
-    return xmap, omega
+        # X = x - psi_(n-1) psi_(n+1) / (4f psi_n^2),  Omega = disc / (16f^2 psi_n^3)
+        den_x = red(poly_mul(f4, pn2, p))
+        den_y = red(poly_mul(f4, red(poly_mul(f4, pn3, p)), p))
+        num_x = poly_sub(red(poly_mul([0, 1], den_x, p)), cross, p)
+    return (num_x, den_x), (disc, den_y)
 
 
 def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
@@ -152,8 +132,15 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     dividing b), i.e. whether the order of conductor b/c contains tau scaled
     accordingly.  Equivalent to g | b/c for the true conductor g.
 
-    Runs in F_p[x]/(psi~_c); when an inversion fails the modulus splits along
-    the discovered factor and both pieces are tested.
+    Runs in F_p[x]/(psi~_c), and for even c also in F_p[x]/(f), with
+    n = +-a mod c in [1, c/2]: tau = [+-n] on E[c] is checked as
+    X_num = X_den * x^q and +-Omega_num = Omega_den * f^((q-1)/2).  Every
+    denominator is a unit there, so the cross-multiplied check is exact.
+    The denominators are products of powers of psi~_n and, for even n, of
+    f.  Since gcd(a, b) = 1 (a common prime would divide the prime q), n is
+    coprime to c, so E[n] meets E[c] only in O and psi~_n shares no root
+    with psi~_c.  The roots of f are the 2-torsion, which lies in E[c] only
+    for even c, and then n is odd.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
@@ -176,38 +163,31 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
         n, sign = a_mod, 1
     else:
         n, sign = c - a_mod, -1
-    psit = division_polys(curve, max(c, n + 2))
-    p = psit.p
+    psi = division_polys(curve, max(c, n + 2))
+    f = poly_trim([curve.b, curve.a, 0, 1])
 
     def component_ok(modulus: Poly, compare_y: bool) -> bool:
         if poly_deg(modulus) < 1:
             return True
-        reducer = Reducer(modulus, p)
-        try:
-            xmap, omega = _scalar_maps(psit, n, reducer)
-        except NotInvertibleError as err:
-            factor = err.factor
-            if poly_deg(factor) == poly_deg(modulus):
-                raise AssertionError("torsion denominator vanished on a full component")
-            quot, rem = poly_divmod(modulus, factor, p)
-            if rem:
-                raise AssertionError("split factor does not divide the modulus")
-            return component_ok(factor, compare_y) and component_ok(quot, compare_y)
-        if poly_powmod([0, 1], q, modulus, p) != xmap:
+        reducer = Reducer(modulus, q)
+        red = reducer.reduce
+        (num_x, den_x), (num_y, den_y) = _scalar_maps(psi, f, n, reducer)
+        xq = poly_powmod([0, 1], q, modulus, q)
+        if red(poly_mul(den_x, xq, q)) != num_x:
             return False
         if compare_y:
-            half = poly_powmod(psit.f, (q - 1) // 2, modulus, p)
-            target = omega if sign == 1 else reducer.reduce(poly_neg(omega, p))
-            if half != target:
+            half = poly_powmod(f, (q - 1) // 2, modulus, q)
+            target = num_y if sign == 1 else poly_neg(num_y, q)
+            if red(poly_mul(den_y, half, q)) != target:
                 return False
         return True
 
     # x-coordinates of E[c] \ {O} are the roots of psi~_c (times f for even
     # c, which adds the 2-torsion).  On the f part both y's are zero, so only
     # the x comparison is meaningful there.
-    if not component_ok(psit[c], True):
+    if not component_ok(psi[c], True):
         return False
-    if c % 2 == 0 and not component_ok(psit.f, False):
+    if c % 2 == 0 and not component_ok(f, False):
         return False
     return True
 

@@ -37,7 +37,8 @@ def vp(n: int, p: int) -> int:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant; n odd composite with no factor below _TRIAL_BOUND.
+    # Floyd's cycle finding, one gcd per step; n odd composite with no
+    # factor below _TRIAL_BOUND.
     if n % 2 == 0:
         return 2
     for c in range(1, 100):

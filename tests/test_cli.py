@@ -199,7 +199,9 @@ def test_exit_code_count_mismatch(capsys):
 
 
 def test_exit_code_capacity(capsys):
-    assert main(["oracle", "3329:49,0", "3329:1,98", "--kmax", "3"]) == 5
+    # at k = 2000 and 10^7, q^k is too long to print or to build quickly
+    for kmax in ("3", "2000", str(10**7)):
+        assert main(["oracle", "3329:49,0", "3329:1,98", "--kmax", kmax]) == 5, kmax
     capsys.readouterr()
 
 

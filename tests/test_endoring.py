@@ -4,13 +4,13 @@ import pytest
 
 from isoclass.curve import CapacityError, Curve
 from isoclass.endoring import (
-    DivisionPolySet,
+    _scalar_maps,
     conductor,
     conductor_bruteforce,
     division_polys,
     scalar_action_test,
 )
-from isoclass.field import ExtField, PrimeField, poly_eval, poly_gcd
+from isoclass.field import ExtField, PrimeField, Reducer, poly_eval, poly_gcd, poly_trim
 from isoclass.quadorder import factorize, frobenius_from_trace
 
 from conftest import EXAMPLE1
@@ -34,6 +34,9 @@ def test_division_poly_degrees_and_leads():
         else:
             assert len(f) - 1 == (n * n - 4) // 2, n
             assert f[-1] == n // 2 % p
+    small = division_polys(Curve(PrimeField(13), 2, 3), 12)
+    assert len(small) == 13
+    assert small[3] == [9, 10, 12, 0, 3]  # 3x^4 + 6Ax^2 + 12Bx - A^2 mod 13
 
 
 def test_division_poly_roots_are_torsion():
@@ -61,45 +64,64 @@ def test_division_poly_coprime_to_two_torsion():
         assert poly_gcd(psit[n], f, 3329) == [1]
 
 
-def test_division_poly_set_extends_on_demand():
-    e = Curve(PrimeField(13), 2, 3)
-    s = DivisionPolySet(e)
-    first = s[12]
-    again = s[12]
-    assert first == again
-    assert s[3] == [9, 10, 12, 0, 3]  # 3x^4 + 6Ax^2 + 12Bx - A^2 mod 13
-    with pytest.raises(IndexError):
-        s[-1]
-
-
 def test_scalar_maps_match_scalar_mul():
-    # evaluate the rational maps numerically at sample points
-    from isoclass.endoring import _scalar_maps
-    from isoclass.field import Reducer, poly_mod
-
+    # evaluate the rational maps at sample points: reducing modulo x - x0
+    # leaves each numerator and denominator as its value at x0
     e = Curve(PrimeField(101), 3, 8)
     p = 101
-    psit = division_polys(e, 13)
+    psi = division_polys(e, 13)
+    f = poly_trim([e.b, e.a, 0, 1])
     pts = [pt for pt in e.points()][:12]
     for n in range(2, 11):
-        # big coprime modulus so nothing collapses: use the curve order bound
-        modulus = [0, 1]
-        # evaluate via a linear modulus at each sample x: X mod (x - x0)
         checked = 0
         for (x0, y0) in pts:
             want = e.scalar_mul(n, (x0, y0))
             if want is None:
                 continue
-            mod = [(-x0) % p, 1]
-            try:
-                xmap, omega = _scalar_maps(psit, n, Reducer(mod, p))
-            except Exception:
-                continue  # denominator vanishes at x0 (point near the kernel)
-            got_x = poly_eval(poly_mod(xmap, mod, p), x0, p)
-            got_y = y0 * poly_eval(poly_mod(omega, mod, p), x0, p) % p
-            assert (got_x, got_y) == want, (n, x0, y0)
+            red = Reducer([(-x0) % p, 1], p)
+            (num_x, den_x), (num_y, den_y) = _scalar_maps(psi, f, n, red)
+            dx, dy = poly_eval(den_x, x0, p), poly_eval(den_y, x0, p)
+            if dx == 0 or dy == 0:
+                continue  # point near the kernel
+            assert poly_eval(num_x, x0, p) == want[0] * dx % p, (n, x0, y0)
+            assert y0 * poly_eval(num_y, x0, p) % p == want[1] * dy % p, (n, x0, y0)
             checked += 1
         assert checked >= 6, n
+
+
+def test_scalar_map_denominators_are_units():
+    # n = +-a mod c is coprime to c, so the denominators (powers of psi~_n,
+    # times f for even n) share no root with psi~_c, nor with f for even c:
+    # the cross-multiplied action test never needs to split its modulus
+    rng = random.Random(7)
+    seen = set()
+    for q in (101, 389, 1009, 2909, 3329):
+        fq = PrimeField(q)
+        for _ in range(40):
+            a, b = rng.randrange(q), rng.randrange(1, q)
+            if (4 * a**3 + 27 * b**2) % q == 0:
+                continue
+            e = Curve(fq, a, b)
+            t = e.trace()
+            if t % q == 0:
+                continue
+            frob = frobenius_from_trace(q, t)
+            f = poly_trim([e.b, e.a, 0, 1])
+            for l, v in factorize(frob.b).items():
+                for j in range(1, v + 1):
+                    c = l**j
+                    n = min(frob.a % c, -frob.a % c)
+                    psi = division_polys(e, max(c, n + 2))
+                    moduli = [psi[c]] + ([f] if c % 2 == 0 else [])
+                    for m in moduli:
+                        if len(m) < 2:
+                            continue
+                        (_, den_x), (_, den_y) = _scalar_maps(psi, f, n, Reducer(m, q))
+                        for den in (den_x, den_y):
+                            assert poly_gcd(den, m, q) == [1], (q, a, b, c)
+                    seen.add((c % 2, n % 2, n > 1))
+    # odd c with even and odd n > 1; powers of 2 with odd n > 1
+    assert {(1, 0, True), (1, 1, True), (0, 1, True)} <= seen, seen
 
 
 def test_scalar_action_test_detects_conductor():

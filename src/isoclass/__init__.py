@@ -16,7 +16,6 @@ from .curve import (
     Curve,
     GroupStructure,
     SingularCurveError,
-    curve_from_ints,
 )
 from .endoring import (
     conductor,
@@ -26,7 +25,6 @@ from .endoring import (
 )
 from .field import (
     ExtField,
-    NotInvertibleError,
     PrimeField,
     find_irreducible,
     is_prime,
@@ -69,7 +67,6 @@ __all__ = [
     "FrobeniusData",
     "GroupStructure",
     "IsoPattern",
-    "NotInvertibleError",
     "OrderElem",
     "PrimeAnalysis",
     "PrimeField",
@@ -78,7 +75,6 @@ __all__ = [
     "binom_valuation",
     "conductor",
     "conductor_bruteforce",
-    "curve_from_ints",
     "division_polys",
     "factorize",
     "find_irreducible",

@@ -205,10 +205,6 @@ def _count_sweep(p: int, a: int, b: int) -> int:
     return count
 
 
-def curve_from_ints(p: int, a: int, b: int) -> Curve:
-    return Curve(PrimeField(p), a, b)
-
-
 __all__ = [
     "Curve",
     "GroupStructure",
@@ -216,5 +212,4 @@ __all__ = [
     "CapacityError",
     "DEFAULT_BOUND",
     "COUNT_BOUND",
-    "curve_from_ints",
 ]

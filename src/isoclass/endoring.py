@@ -22,7 +22,6 @@ from .field import (
     poly_deg,
     poly_mul,
     poly_neg,
-    poly_powmod,
     poly_scale,
     poly_sub,
     poly_trim,
@@ -172,11 +171,11 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
         reducer = Reducer(modulus, q)
         red = reducer.reduce
         (num_x, den_x), (num_y, den_y) = _scalar_maps(psi, f, n, reducer)
-        xq = poly_powmod([0, 1], q, modulus, q)
+        xq = reducer.pow([0, 1], q)
         if red(poly_mul(den_x, xq, q)) != num_x:
             return False
         if compare_y:
-            half = poly_powmod(f, (q - 1) // 2, modulus, q)
+            half = reducer.pow(f, (q - 1) // 2)
             target = num_y if sign == 1 else poly_neg(num_y, q)
             if red(poly_mul(den_y, half, q)) != target:
                 return False
@@ -211,10 +210,15 @@ def _full_torsion_action(
     curve: Curve, frob: FrobeniusData, lp: int, jmax: int, bound: int
 ) -> list[bool]:
     """Pointwise oracle for c = lp^j, j = 1..jmax, in one walk up the
-    extensions: each j is decided in the smallest extension containing all
-    of E[c], by comparing tau with [a mod c] on every torsion point.  By the
-    Weil pairing E[c] fits in F_{q^m} only if c | q^m - 1, so other m are
-    skipped unlisted."""
+    extensions: each j is decided in the smallest extension F containing all
+    of E[c].  By the Weil pairing E[c] fits in F_{q^m} only if c | q^m - 1,
+    so other m are skipped unlisted.
+
+    Let S = <P> (+) <Q> be the lp-Sylow basis over F, ord P = lp^ea >=
+    ord Q = lp^eb.  E[lp^j](F) = S[lp^j] has lp^(min(ea,j) + min(eb,j))
+    points, so all of E[lp^j] is rational exactly when j <= eb, spanned then
+    by [lp^(ea-j)]P and [lp^(eb-j)]Q.  pi - [a mod c] is an endomorphism, so
+    it kills E[c] exactly when it kills those two generators."""
     from . import enumeration
 
     q = frob.q
@@ -234,17 +238,15 @@ def _full_torsion_action(
             continue
         ctx = base if m == 1 else ExtField(base, m)
         lifted = curve if m == 1 else curve.lift(ctx)
-        tors = enumeration.lpower_torsion(lifted, lp, jmax)
-        # E[lp^j] holds E[lp^(j-1)], so the full j at this m form a run
-        for j in range(len(passes) + 1, jmax + 1):
-            c = lp**j
-            if len(tors[j]) + 1 != c * c:
-                break
-            n = frob.a % c
+        (P, ea), (Q, eb) = enumeration.sylow_basis(lifted, lp)
+        for j in range(len(passes) + 1, min(eb, jmax) + 1):
+            n = frob.a % lp**j
+            gens = (lifted.scalar_mul(lp ** (ea - j), P),
+                    lifted.scalar_mul(lp ** (eb - j), Q))
             passes.append(
                 all(
                     (ctx.pow(x, q), ctx.pow(y, q)) == lifted.scalar_mul(n, (x, y))
-                    for x, y in tors[j]
+                    for x, y in gens
                 )
             )
     return passes

@@ -233,23 +233,11 @@ def group_structure(curve: Curve) -> GroupStructure:
     return GroupStructure(n1, n2)
 
 
-def lpower_torsion(curve: Curve, l: int, jmax: int) -> dict[int, list]:
-    """E[l^j](F) for j = 1..jmax as lists of (x, y) field elements (without
-    the point at infinity), spanned by [l^(a-j)]P and [l^(b-j)]Q from the
-    l-Sylow basis (exponents floored at 0)."""
+def sylow_basis(curve: Curve, l: int):
+    """((P, a), (Q, b)) with <P> (+) <Q> the l-Sylow subgroup of E(F) and
+    ord P = l^a >= ord Q = l^b, from a full listing of the points."""
     N, rows = _listed_points(curve)
-    basis = _sylow_basis(curve, N, rows, l)
-    out: dict[int, list] = {}
-    for j in range(1, jmax + 1):
-        span = [None]
-        for G, n in basis:
-            G = curve.scalar_mul(l ** max(n - j, 0), G)
-            multiples = [None]
-            for _ in range(l ** min(n, j) - 1):
-                multiples.append(curve.add(multiples[-1], G))
-            span = [curve.add(R, M) for R in span for M in multiples]
-        out[j] = span[1:]
-    return out
+    return _sylow_basis(curve, N, rows, l)
 
 
 def count_all_curves(p: int) -> np.ndarray:

@@ -138,15 +138,6 @@ class PrimeField:
 PACK_THRESHOLD = 32
 
 
-class NotInvertibleError(ArithmeticError):
-    """Inversion failed in F_p[x]/(modulus); .factor is a nontrivial monic
-    divisor of the modulus witnessing the failure."""
-
-    def __init__(self, factor: Poly):
-        super().__init__(f"inversion failed, modulus has factor of degree {len(factor) - 1}")
-        self.factor = factor
-
-
 def poly_trim(a: Poly) -> Poly:
     while a and a[-1] == 0:
         a.pop()
@@ -258,33 +249,19 @@ def poly_gcd(a: Poly, b: Poly, p: int) -> Poly:
     return poly_monic(a, p)
 
 
-def poly_extgcd(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly, Poly]:
-    """Returns (g, u, v) with u*a + v*b = g, g the monic gcd."""
-    r0, r1 = [c % p for c in a], [c % p for c in b]
-    poly_trim(r0), poly_trim(r1)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
+def poly_invmod(a: Poly, m: Poly, p: int) -> Poly:
+    """Inverse of a in F_p[x]/(m) by the extended Euclidean algorithm on
+    (m, a mod m), carrying only a's cofactor u with r = u*a (mod m) for each
+    remainder r; raises ZeroDivisionError when gcd(a, m) != 1."""
+    r0, r1 = poly_trim([c % p for c in m]), poly_mod(a, m, p)
+    u0, u1 = [], [1]
     while r1:
         q, r = poly_divmod(r0, r1, p)
         r0, r1 = r1, r
         u0, u1 = u1, poly_sub(u0, poly_mul(q, u1, p), p)
-        v0, v1 = v1, poly_sub(v0, poly_mul(q, v1, p), p)
-    if not r0:
-        raise ValueError("gcd(0, 0) is undefined")
-    c = pow(r0[-1], p - 2, p)
-    return poly_scale(r0, c, p), poly_scale(u0, c, p), poly_scale(v0, c, p)
-
-
-def poly_invmod(a: Poly, m: Poly, p: int) -> Poly:
-    """Inverse of a in F_p[x]/(m); raises NotInvertibleError carrying the
-    offending monic factor of m when gcd(a, m) != 1."""
-    a = poly_mod(a, m, p)
-    if not a:
-        raise NotInvertibleError(poly_monic(m, p))
-    g, u, _ = poly_extgcd(a, m, p)
-    if poly_deg(g) != 0:
-        raise NotInvertibleError(g)
-    return poly_mod(u, m, p)
+    if poly_deg(r0) != 0:
+        raise ZeroDivisionError(f"not invertible: gcd with m has degree {poly_deg(r0)}")
+    return poly_scale(u0, pow(r0[0], p - 2, p), p)
 
 
 class Reducer:
@@ -323,6 +300,18 @@ class Reducer:
             return a
         return poly_trim(self._reduce_block(a))
 
+    def pow(self, base: Poly, e: int) -> Poly:
+        """base^e mod m by square-and-multiply, for e >= 0."""
+        p, red = self.p, self.reduce
+        result = [1]
+        base = red(base)
+        while e:
+            if e & 1:
+                result = red(poly_mul(result, base, p))
+            base = red(poly_mul(base, base, p))
+            e >>= 1
+        return result
+
     def _reduce_block(self, a: Poly) -> Poly:
         # n < len(a) <= 2n - 1 and a[-1] != 0; returns n coefficients
         n, p = self.n, self.p
@@ -351,15 +340,7 @@ def poly_powmod(base: Poly, e: int, m: Poly, p: int) -> Poly:
         raise ValueError("modulus must have degree >= 1")
     if e < 0:
         raise ValueError("negative exponent")
-    red = Reducer(m, p).reduce
-    result = [1]
-    base = red(base)
-    while e:
-        if e & 1:
-            result = red(poly_mul(result, base, p))
-        base = red(poly_mul(base, base, p))
-        e >>= 1
-    return result
+    return Reducer(m, p).pow(base, e)
 
 
 def poly_eval(a: Poly, x: int, p: int) -> int:
@@ -415,21 +396,13 @@ class ExtField:
 
     __slots__ = ("base", "k", "modulus", "p")
 
-    def __init__(self, base: PrimeField, k: int, modulus: Poly | None = None):
+    def __init__(self, base: PrimeField, k: int):
         if k < 1:
             raise ValueError("extension degree must be >= 1")
         self.base = base
         self.p = base.p
         self.k = k
-        if modulus is None:
-            modulus = find_irreducible(self.p, k)
-        else:
-            modulus = poly_trim([c % self.p for c in modulus])
-            if poly_deg(modulus) != k or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-            if not _is_irreducible(modulus, self.p):
-                raise ValueError("modulus is not irreducible")
-        self.modulus = modulus
+        self.modulus = find_irreducible(self.p, k)
 
     @property
     def char(self) -> int:

@@ -7,7 +7,6 @@ from isoclass.curve import (
     Curve,
     GroupStructure,
     SingularCurveError,
-    curve_from_ints,
 )
 from isoclass.enumeration import (
     _listed_points,
@@ -15,7 +14,6 @@ from isoclass.enumeration import (
     _tables,
     count_all_curves,
     group_structure,
-    lpower_torsion,
 )
 from isoclass.field import ExtField, PrimeField
 from isoclass.quadorder import frobenius_from_trace, vp
@@ -158,21 +156,6 @@ def test_structure_matches_exhaustive_exponent():
         assert tor == want
 
 
-def test_lpower_torsion():
-    base = PrimeField(13)
-    e = Curve(base, 2, 3)
-    s = e.group_structure_bruteforce()
-    for l in (2, 3):
-        tor = lpower_torsion(e, l, 2)
-        for j in (1, 2):
-            for pt in tor[j]:
-                assert e.contains(pt)
-                assert e.scalar_mul(l**j, pt) is None
-        exact = [pt for pt in tor[1] if pt is not None]
-        naive = [pt for pt in e.points() if e.scalar_mul(l, pt) is None]
-        assert sorted(exact) == sorted(naive)
-
-
 def _ctx(p, k):
     base = PrimeField(p)
     return base if k == 1 else ExtField(base, k)
@@ -221,10 +204,10 @@ def test_sylow_basis_matches_scalar_mul(p, k, a, b):
             for j in range(l**eb)
         }
         assert span == sylow
-        tors = lpower_torsion(e, l, 3)
+        # all of E[l^j] is rational exactly when j <= eb
         for j in (1, 2, 3):
-            naive = {pt for pt in listed if e.scalar_mul(l**j, pt) is None}
-            assert len(tors[j]) == len(naive) and set(tors[j]) == naive, (l, j)
+            naive = {pt for pt in [None] + listed if e.scalar_mul(l**j, pt) is None}
+            assert (len(naive) == l ** (2 * j)) == (j <= eb), (l, j)
 
 
 def test_group_structure_matches_naive_seeded():
@@ -277,11 +260,6 @@ def test_count_points_rejects_extension():
     e = Curve(PrimeField(5), 1, 1).lift(f2)
     with pytest.raises(TypeError):
         e.count_points()
-
-
-def test_curve_from_ints():
-    e = curve_from_ints(5, 6, -4)
-    assert (e.a, e.b) == (1, 1)
 
 
 def test_predicted_vs_enumerated_structures():

@@ -10,6 +10,7 @@ for small fields.
 """
 
 from .curve import (
+    CONDUCTOR_BOUND,
     COUNT_BOUND,
     DEFAULT_BOUND,
     CapacityError,
@@ -28,7 +29,6 @@ from .field import (
     PrimeField,
     find_irreducible,
     is_prime,
-    legendre,
 )
 from .isomorphy import (
     ComparisonInput,
@@ -58,6 +58,7 @@ from .quadorder import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CONDUCTOR_BOUND",
     "COUNT_BOUND",
     "DEFAULT_BOUND",
     "CapacityError",
@@ -82,7 +83,6 @@ __all__ = [
     "gcd_criterion",
     "is_prime",
     "iso_pattern",
-    "legendre",
     "lte",
     "mult_order",
     "nasty_reduce",

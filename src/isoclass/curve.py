@@ -7,11 +7,15 @@ Characteristic > 3 is required: the short model does not cover char 2 and 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, isqrt, lcm
 
-from .field import PrimeField
+from .field import PrimeField, sqrt_mod
+from .quadorder import factorize
 
 DEFAULT_BOUND = 10**6
-COUNT_BOUND = 10**8  # largest q whose points count_points sweeps
+COUNT_BOUND = 10**18  # largest q that count_points takes
+SWEEP_BOUND = 229  # largest q counted by a sweep over every x
+CONDUCTOR_BOUND = 211  # largest prime power c the conductor's scalar test takes
 
 
 class SingularCurveError(ValueError):
@@ -141,23 +145,24 @@ class Curve:
     # -- point counting and group structure (prime fields / small fields) --
 
     def count_points(self) -> int:
-        """|E(F_p)| by a full x-sweep against a table of squares, swept once
-        per curve and kept (the curve is immutable).  Raises CapacityError
-        for p > COUNT_BOUND."""
+        """|E(F_p)|, counted once per curve and kept (the curve is
+        immutable): by baby-step giant-step on E and its twist for
+        p > SWEEP_BOUND, by a sweep over every x below.  Raises
+        CapacityError for p > COUNT_BOUND."""
         if not isinstance(self.ctx, PrimeField):
             raise TypeError("count_points runs over the prime base field")
         if self._count is None:
             p = self.ctx.p
             if p > COUNT_BOUND:
                 raise CapacityError(f"q = {p} exceeds the point-count bound {COUNT_BOUND}")
-            self._count = _count_sweep(p, self.a, self.b)
+            if p <= SWEEP_BOUND:
+                self._count = _count_sweep(p, self.a, self.b)
+            else:
+                self._count = _count_mestre(self)
         return self._count
 
     def trace(self) -> int:
         return self.ctx.p + 1 - self.count_points()
-
-    def is_ordinary(self) -> bool:
-        return self.trace() % self.ctx.char != 0
 
     def lift(self, ctx) -> "Curve":
         """The same equation read over an extension of the base field."""
@@ -180,16 +185,6 @@ class Curve:
             )
         return enumeration.group_structure(self)
 
-    def points(self):
-        """All affine points by exhaustive sweep (tests and tiny fields)."""
-        F = self.ctx
-        roots: dict = {}
-        for y in F.elements():
-            roots.setdefault(F.mul(y, y), []).append(y)
-        for x in F.elements():
-            for y in roots.get(self.rhs(x), ()):
-                yield (x, y)
-
 
 def _count_sweep(p: int, a: int, b: int) -> int:
     sq = bytearray(p)
@@ -205,6 +200,77 @@ def _count_sweep(p: int, a: int, b: int) -> int:
     return count
 
 
+def _count_mestre(curve: Curve) -> int:
+    """|E(F_p)| for p > SWEEP_BOUND by Shanks-Mestre baby-step giant-step
+    (Schoof, JTNB 7, 1995).
+
+    Points come from x = 0, 1, 2, ...: (x, sqrt(r)) on E when r = f(x) is a
+    square, else (r*x, r^2) on the twist y^2 = x^3 + a r^2 x + b r^3, whose
+    order is 2p + 2 - N.  L and L2 are the lcms of the point orders found on
+    E and on the twist.  For p > 229 one of the two group exponents has a
+    single multiple in the Hasse interval (Cremona-Sutherland, JTNB 22,
+    2010), so the candidates narrow to N once L and L2 reach the exponents;
+    every x is eventually tried, so they do."""
+    F = curve.ctx
+    p = F.p
+    L = L2 = 1
+    first, step, n = _candidates(p, L, L2)
+    for x in range(p):
+        r = curve.rhs(x)
+        if r == 0:
+            continue
+        y = sqrt_mod(r, p)
+        if y is not None:
+            L = lcm(L, _order_in(curve, (x, y), first, step, n))
+        else:
+            twist = Curve(F, curve.a * r * r, curve.b * r * r * r)
+            L2 = lcm(L2, _order_in(twist, (r * x % p, r * r % p), 2 * p + 2 - first, -step, n))
+        first, step, n = _candidates(p, L, L2)
+        if n == 1:
+            return first
+    raise AssertionError(f"no unique point count for {curve}")
+
+
+def _candidates(p: int, L: int, L2: int) -> tuple[int, int, int]:
+    """The N in the Hasse interval with L | N and L2 | 2p + 2 - N, as
+    (first, step, n): N = first + k*step for 0 <= k < n."""
+    w = isqrt(4 * p)
+    g = gcd(L, L2)
+    step = L // g * L2
+    # L*u is 0 mod L and 2p + 2 mod L2 (g divides 2p + 2, as it divides N
+    # and 2p + 2 - N)
+    u = (2 * p + 2) // g * pow(L // g, -1, L2 // g) % (L2 // g)
+    first = p + 1 - w + (L * u - (p + 1 - w)) % step
+    return first, step, (p + 1 + w - first) // step + 1
+
+
+def _order_in(curve: Curve, P, first: int, step: int, n: int) -> int:
+    """The order of P, given that some first + k*step with 0 <= k < n kills
+    it: baby-step giant-step finds one such multiple, and its prime
+    factors are divided out while P stays killed."""
+    m = isqrt(n - 1) + 1  # m * m >= n
+    Q = curve.scalar_mul(step, P)
+    baby: dict = {}
+    R = None
+    for j in range(m):
+        baby.setdefault(R, j)  # R = [j]Q
+        R = curve._add(R, Q)
+    giant = curve.neg(R)
+    T = curve.scalar_mul(-first, P)
+    for i in range(m):
+        # T = -[first + i*m*step]P, so T = [j]Q means first + (i*m + j)*step kills P
+        if T in baby:
+            order = first + (i * m + baby[T]) * step
+            break
+        T = curve._add(T, giant)
+    else:
+        raise AssertionError(f"no multiple of the order of {P} among the candidates")
+    for l in factorize(order):
+        while order % l == 0 and curve.scalar_mul(order // l, P) is None:
+            order //= l
+    return order
+
+
 __all__ = [
     "Curve",
     "GroupStructure",
@@ -212,4 +278,5 @@ __all__ = [
     "CapacityError",
     "DEFAULT_BOUND",
     "COUNT_BOUND",
+    "CONDUCTOR_BOUND",
 ]

@@ -13,7 +13,7 @@ torsion points in extension fields backs it as an oracle.
 
 from __future__ import annotations
 
-from .curve import DEFAULT_BOUND, CapacityError, Curve
+from .curve import CONDUCTOR_BOUND, DEFAULT_BOUND, CapacityError, Curve
 from .field import (
     ExtField,
     PrimeField,
@@ -140,6 +140,9 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     coprime to c, so E[n] meets E[c] only in O and psi~_n shares no root
     with psi~_c.  The roots of f are the 2-torsion, which lies in E[c] only
     for even c, and then n is odd.
+
+    Raises CapacityError for c > CONDUCTOR_BOUND, before building any
+    division polynomial: psi~_0 .. psi~_c have degrees up to about c^2/2.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
@@ -156,6 +159,8 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
         raise ValueError("c must be coprime to the characteristic")
     if not _is_prime_power(c):
         raise ValueError(f"{c} is not a prime power")
+    if c > CONDUCTOR_BOUND:
+        raise CapacityError(f"prime power {c} exceeds the conductor bound {CONDUCTOR_BOUND}")
 
     a_mod = frob.a % c
     if a_mod <= c - a_mod:

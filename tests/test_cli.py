@@ -206,47 +206,61 @@ def test_exit_code_capacity(capsys):
 
 
 def test_exit_code_count_bound(monkeypatch, capsys):
-    # refused before the sweep allocates its table of squares
-    def no_sweep(p, a, b):
-        raise AssertionError("swept past COUNT_BOUND")
+    # refused before any point arithmetic; 10^18 + 3 is prime
+    def no_arithmetic(*args):
+        raise AssertionError("counted past COUNT_BOUND")
 
-    monkeypatch.setattr(curve, "_count_sweep", no_sweep)
-    assert curve.COUNT_BOUND == 10**8
-    assert main(["analyze", "100000007:1,1"]) == 5
+    monkeypatch.setattr(curve, "_count_sweep", no_arithmetic)
+    monkeypatch.setattr(curve, "_count_mestre", no_arithmetic)
+    monkeypatch.setattr(curve.Curve, "_add", no_arithmetic)
+    assert curve.COUNT_BOUND == 10**18
+    assert main(["analyze", "1000000000000000003:1,1"]) == 5
     assert "point-count bound" in capsys.readouterr().err
 
 
 def test_each_curve_counted_once(monkeypatch, capsys):
-    sweeps = []
-    sweep = curve._count_sweep
+    counts = []
+    mestre = curve._count_mestre
 
-    def counted(p, a, b):
-        sweeps.append(p)
-        return sweep(p, a, b)
+    def counted(e):
+        counts.append(e.ctx.p)
+        return mestre(e)
 
-    monkeypatch.setattr(curve, "_count_sweep", counted)
+    monkeypatch.setattr(curve, "_count_mestre", counted)
     assert main(["analyze", "3329:3,1152"]) == 0
-    assert sweeps == [3329]
-    sweeps.clear()
+    assert counts == [3329]
+    counts.clear()
     assert main(["compare", "3329:49,0", "3329:1,98"]) == 0
-    assert sweeps == [3329, 3329]
+    assert counts == [3329, 3329]
     capsys.readouterr()
 
 
-def test_python_m_isoclass():
+def _run_module(*args, timeout=60):
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-m", "isoclass", "analyze", "3329:3,1152"],
-        env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "isoclass", *args],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_python_m_isoclass():
+    run = _run_module("analyze", "3329:3,1152")
     assert run.returncode == 0, run.stderr
     assert "conductor g = 2" in run.stdout
-    run = subprocess.run(
-        [sys.executable, "-m", "isoclass", "analyze", "5:0,1"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    run = _run_module("analyze", "5:0,1")
     assert run.returncode == 3
+
+
+def test_no_hang_on_large_q_or_conductor():
+    # a sweep over every x, or a conductor test at l = 1009, would run past
+    # the timeout instead of answering
+    run = _run_module("analyze", "10000019:1,1", timeout=30)
+    assert run.returncode == 0, run.stderr
+    assert "|E(F_q)| = 9998581" in run.stdout
+    run = _run_module("analyze", "1018097:3,0", timeout=30)
+    assert run.returncode == 5
+    assert "conductor bound 211" in run.stderr
 
 
 def test_usage_error_is_2(capsys):

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from isoclass.curve import (
+    SWEEP_BOUND,
     CapacityError,
     Curve,
     GroupStructure,
     SingularCurveError,
+    _count_sweep,
 )
 from isoclass.enumeration import (
     _listed_points,
@@ -15,8 +17,10 @@ from isoclass.enumeration import (
     count_all_curves,
     group_structure,
 )
-from isoclass.field import ExtField, PrimeField
+from isoclass.field import ExtField, PrimeField, is_prime, sqrt_mod
 from isoclass.quadorder import frobenius_from_trace, vp
+
+from helpers import is_ordinary, legendre, points
 
 
 def test_rejects_singular_and_small_char():
@@ -40,7 +44,7 @@ def test_group_law_known_doubling():
 def test_group_law_axioms_random():
     rng = random.Random(7)
     e = Curve(PrimeField(13), 2, 3)
-    pts = [None] + list(e.points())
+    pts = [None] + list(points(e))
     for _ in range(200):
         p1, p2, p3 = (rng.choice(pts) for _ in range(3))
         assert e.add(p1, p2) == e.add(p2, p1)
@@ -51,7 +55,7 @@ def test_group_law_axioms_random():
 
 def test_scalar_mul_matches_repeated_add():
     e = Curve(PrimeField(11), 3, 5)
-    for pt in list(e.points())[:5]:
+    for pt in list(points(e))[:5]:
         acc = None
         for n in range(12):
             assert e.scalar_mul(n, pt) == acc
@@ -93,6 +97,80 @@ def test_count_points_examples():
     assert Curve(PrimeField(5), 1, 1).count_points() == 9
 
 
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _twist(e):
+    """The quadratic twist by the least non-square d."""
+    p = e.ctx.p
+    d = next(d for d in range(2, p) if legendre(d, p) == -1)
+    return Curve(e.ctx, e.a * d * d, e.b * d**3)
+
+
+def _random_square_point(rng, e):
+    p = e.ctx.p
+    while True:
+        x = rng.randrange(p)
+        y = sqrt_mod(e.rhs(x), p)
+        if y is not None:
+            return x, y
+
+
+def test_count_points_matches_sweep_seeded():
+    # both sides of the switch, p = 3, 5, 1 (mod 8), large 2-adic parts of
+    # p - 1, and log-uniform seeded primes up to 10^6
+    assert SWEEP_BOUND == 229
+    rng = random.Random(909)
+    primes = [5, 13, 227, 229, 233, 251, 997, 7681, 65537, 999983]
+    primes += [_next_prime(int(10 ** rng.uniform(2.4, 6))) for _ in range(6)]
+    assert {1, 3, 5} <= {p % 8 for p in primes if p > SWEEP_BOUND}, primes
+    for p in primes:
+        F = PrimeField(p)
+        coeffs = [(rng.randrange(p), rng.randrange(p)) for _ in range(40 if p < 10**4 else 2)]
+        coeffs += [(0, rng.randrange(1, p)), (rng.randrange(1, p), 0)]  # j = 0, j = 1728
+        for a, b in coeffs:
+            try:
+                e = Curve(F, a, b)
+            except SingularCurveError:
+                continue
+            tw = _twist(e)
+            for c in (e, tw):
+                assert c.count_points() == _count_sweep(p, c.a, c.b), (p, c.a, c.b)
+            assert e.count_points() + tw.count_points() == 2 * p + 2
+
+
+@pytest.mark.parametrize("p", [10**12 + 39, 10**17 + 3])
+def test_count_points_beyond_the_sweep(p):
+    # [N]P = O on E and [2p + 2 - N]P' = O on the twist at seeded points
+    assert is_prime(p)
+    rng = random.Random(p)
+    F = PrimeField(p)
+    e = Curve(F, rng.randrange(p), rng.randrange(p))
+    n = e.count_points()
+    assert (p + 1 - n) ** 2 <= 4 * p
+    tw = _twist(e)
+    for _ in range(4):
+        assert e.scalar_mul(n, _random_square_point(rng, e)) is None
+        assert tw.scalar_mul(2 * p + 2 - n, _random_square_point(rng, tw)) is None
+
+
+@pytest.mark.parametrize("p", [5, 13, 97, 7681, 65537, 998244353])
+def test_sqrt_mod_tonelli_shanks(p):
+    # 7681 - 1 = 15 * 2^9, 65537 - 1 = 2^16, 998244353 - 1 = 119 * 2^23
+    rng = random.Random(p)
+    values = range(p) if p < 10**4 else [rng.randrange(p) for _ in range(500)]
+    for a in values:
+        y = sqrt_mod(a, p)
+        if legendre(a, p) == -1:
+            assert y is None, a
+        else:
+            assert y * y % p == a, a
+    assert sqrt_mod(p + 4, p) in (2, p - 2)
+
+
 def test_hasse_bound_scan():
     for p in (17, 19, 23):
         for a in range(p):
@@ -106,8 +184,8 @@ def test_hasse_bound_scan():
 def test_trace_and_ordinary():
     e = Curve(PrimeField(5), 1, 1)
     assert e.trace() == -3
-    assert e.is_ordinary()
-    assert not Curve(PrimeField(5), 0, 1).is_ordinary()  # supersingular, t = 0
+    assert is_ordinary(e)
+    assert not is_ordinary(Curve(PrimeField(5), 0, 1))  # supersingular, t = 0
 
 
 def test_group_structure_known():
@@ -138,7 +216,7 @@ def test_group_structure_extension_field():
     assert s == GroupStructure(3, 9)
     assert s.order == 27
     # exponent check: n2 kills every point
-    for pt in lifted.points():
+    for pt in points(lifted):
         assert lifted.scalar_mul(s.n2, pt) is None
     assert (f2.size - 1) % s.n1 == 0
 
@@ -149,7 +227,7 @@ def test_structure_matches_exhaustive_exponent():
     e = Curve(base, 2, 3)
     s = e.group_structure_bruteforce()
     for l in (2, 3, 5, 7):
-        tor = sum(1 for pt in e.points() if e.scalar_mul(l, pt) is None) + 1
+        tor = sum(1 for pt in points(e) if e.scalar_mul(l, pt) is None) + 1
         from isoclass.quadorder import vp
 
         want = l ** (min(vp(s.n1, l), 1) + min(vp(s.n2, l), 1)) if s.order % l == 0 else 1
@@ -164,7 +242,7 @@ def _ctx(p, k):
 def _naive_structure(e):
     """(n1, n2) from the point count and the largest point order, each order
     found by dividing N by its primes while Curve.scalar_mul gives O."""
-    pts = [None] + list(e.points())
+    pts = [None] + list(points(e))
     N = len(pts)
     primes = [d for d in range(2, N + 1) if N % d == 0 and all(d % r for r in range(2, d))]
     n2 = 1
@@ -186,7 +264,7 @@ def test_sylow_basis_matches_scalar_mul(p, k, a, b):
     e = e if k == 1 else e.lift(ctx)
     N, rows = _listed_points(e)
     listed = list(rows())
-    assert sorted(listed) == sorted(e.points()) and N == 1 + len(listed)
+    assert sorted(listed) == sorted(points(e)) and N == 1 + len(listed)
     # x = 0 and y = 0 rows both occur
     assert any(x == ctx.zero for x, _ in listed)
     assert any(y == ctx.zero for _, y in listed)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from isoclass.curve import CapacityError, Curve
+from isoclass import endoring
+from isoclass.curve import CONDUCTOR_BOUND, CapacityError, Curve
 from isoclass.endoring import (
     _scalar_maps,
     conductor,
@@ -14,6 +15,7 @@ from isoclass.field import ExtField, PrimeField, Reducer, poly_eval, poly_gcd, p
 from isoclass.quadorder import factorize, frobenius_from_trace
 
 from conftest import EXAMPLE1
+from helpers import points
 
 
 def _curve35():
@@ -44,7 +46,7 @@ def test_division_poly_roots_are_torsion():
     # away from the 2-torsion
     e = Curve(PrimeField(13), 2, 3)
     psit = division_polys(e, 9)
-    pts = list(e.points())
+    pts = list(points(e))
     for n in range(2, 10):
         roots = {x for x in range(13) if poly_eval(psit[n], x, 13) == 0}
         twotor = {x for (x, y) in pts if y == 0}
@@ -71,7 +73,7 @@ def test_scalar_maps_match_scalar_mul():
     p = 101
     psi = division_polys(e, 13)
     f = poly_trim([e.b, e.a, 0, 1])
-    pts = [pt for pt in e.points()][:12]
+    pts = list(points(e))[:12]
     for n in range(2, 11):
         checked = 0
         for (x0, y0) in pts:
@@ -231,3 +233,19 @@ def test_conductor_bruteforce_capacity():
     frob = frobenius_from_trace(1031, -20)
     with pytest.raises(CapacityError):
         conductor_bruteforce(e, frob, bound=1000)
+
+
+def test_scalar_action_test_refuses_above_conductor_bound(monkeypatch):
+    # b = 1009 (j = 1728): refused before any division polynomial is built
+    def no_division_polys(*args):
+        raise AssertionError("division polynomials built past CONDUCTOR_BOUND")
+
+    monkeypatch.setattr(endoring, "division_polys", no_division_polys)
+    assert CONDUCTOR_BOUND == 211
+    e = Curve(PrimeField(1018097), 3, 0)
+    frob = frobenius_from_trace(1018097, e.trace())
+    assert frob.b == 1009
+    with pytest.raises(CapacityError):
+        scalar_action_test(e, frob, 1009)
+    with pytest.raises(CapacityError):
+        conductor(e, frob)

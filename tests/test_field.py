@@ -9,7 +9,6 @@ from isoclass.field import (
     Reducer,
     find_irreducible,
     is_prime,
-    legendre,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -18,6 +17,8 @@ from isoclass.field import (
     poly_mul,
     poly_powmod,
 )
+
+from helpers import legendre
 
 
 def test_is_prime_small():

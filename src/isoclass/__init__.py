@@ -46,10 +46,8 @@ from .quadorder import (
     FrobeniusData,
     OrderElem,
     SupersingularError,
-    binom_valuation,
     factorize,
     frobenius_from_trace,
-    lte,
     mult_order,
     squarefree_decompose,
     vp,
@@ -73,7 +71,6 @@ __all__ = [
     "PrimeField",
     "SingularCurveError",
     "SupersingularError",
-    "binom_valuation",
     "conductor",
     "conductor_bruteforce",
     "division_polys",
@@ -83,7 +80,6 @@ __all__ = [
     "gcd_criterion",
     "is_prime",
     "iso_pattern",
-    "lte",
     "mult_order",
     "nasty_reduce",
     "pattern_eval",

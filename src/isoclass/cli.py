@@ -60,25 +60,6 @@ def pattern_text(pattern: IsoPattern) -> str:
     return " and ".join(rules) or "all k"
 
 
-def render_pairwise_table(labels: list[str], cells: dict) -> str:
-    """Symmetric table of pattern texts; cells maps (i, j) with i < j."""
-    n = len(labels)
-    grid = [["" for _ in range(n + 1)] for _ in range(n + 1)]
-    grid[0][0] = "iso"
-    for i, lab in enumerate(labels):
-        grid[0][i + 1] = lab
-        grid[i + 1][0] = lab
-    for i in range(n):
-        for j in range(n):
-            grid[i + 1][j + 1] = "-" if i == j else cells[(min(i, j), max(i, j))]
-    widths = [max(len(row[c]) for row in grid) for c in range(n + 1)]
-    lines = [
-        "  ".join(row[c].ljust(widths[c]) for c in range(n + 1)).rstrip()
-        for row in grid
-    ]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # report pieces
 

@@ -13,6 +13,8 @@ torsion points in extension fields backs it as an oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .curve import CONDUCTOR_BOUND, DEFAULT_BOUND, CapacityError, Curve
 from .field import (
     ExtField,
@@ -29,28 +31,34 @@ from .field import (
 from .quadorder import FrobeniusData, _is_prime_power, factorize
 
 
-def division_polys(curve: Curve, n_max: int) -> list[Poly]:
-    """Division polynomials psi~_0 .. psi~_n_max of a curve, as polynomials
-    in x alone.
+def division_polys(curve: Curve, ns: Iterable[int]) -> dict[int, Poly]:
+    """Division polynomials psi~_n of a curve for each n in ns, as
+    polynomials in x alone.
 
     psi~_n is the standard psi_n for odd n and psi_n/(2y) for even n (so
     psi~_2 = 1); the generic degrees are (n^2-1)/2 and (n^2-4)/2.  Roots of
     psi~_n are the x-coordinates of the nonzero n-torsion for odd n, and of
     the n-torsion off E[2] for even n.
+
+    The doubling recursion builds psi~_n from the window psi~_(m-2..m+2),
+    m = n // 2, so each requested n reaches only O(log n) windows.  The
+    returned dict holds the requested polynomials and every one built on
+    the way, psi~_0 .. psi~_4 included.
     """
     if not isinstance(curve.ctx, PrimeField):
         raise TypeError("division polynomials are built over the prime field")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    ns = list(ns)
+    if any(n < 0 for n in ns):
+        raise ValueError("division polynomial indices must be >= 0")
     p, a, b = curve.ctx.p, curve.a, curve.b
     f = poly_trim([b, a, 0, 1])  # x^3 + ax + b
     f2_16 = poly_scale(poly_mul(f, f, p), 16, p)
-    psi: list[Poly] = [
-        [],
-        [1],
-        [1],
-        poly_trim([-a * a % p, 12 * b % p, 6 * a % p, 0, 3]),
-        poly_trim(
+    psi: dict[int, Poly] = {
+        0: [],
+        1: [1],
+        2: [1],
+        3: poly_trim([-a * a % p, 12 * b % p, 6 * a % p, 0, 3]),
+        4: poly_trim(
             [
                 2 * (-8 * b * b - a * a * a) % p,
                 2 * (-4 * a * b) % p,
@@ -61,36 +69,43 @@ def division_polys(curve: Curve, n_max: int) -> list[Poly]:
                 2,
             ]
         ),
-    ]
-    while len(psi) <= n_max:
-        n = len(psi)
+    }
+
+    def build(n: int) -> None:
+        if n in psi:
+            return
         m = n // 2
+        for k in range(m - 2 + n % 2, m + 3):
+            build(k)
         if n % 2 == 0:
             inner = poly_sub(
                 poly_mul(psi[m + 2], poly_mul(psi[m - 1], psi[m - 1], p), p),
                 poly_mul(psi[m - 2], poly_mul(psi[m + 1], psi[m + 1], p), p),
                 p,
             )
-            psi.append(poly_mul(psi[m], inner, p))
+            psi[n] = poly_mul(psi[m], inner, p)
         else:
             cube_m = poly_mul(psi[m], poly_mul(psi[m], psi[m], p), p)
             cube_m1 = poly_mul(psi[m + 1], poly_mul(psi[m + 1], psi[m + 1], p), p)
             t1 = poly_mul(psi[m + 2], cube_m, p)
             t2 = poly_mul(psi[m - 1], cube_m1, p)
             if m % 2 == 0:
-                psi.append(poly_sub(poly_mul(f2_16, t1, p), t2, p))
+                psi[n] = poly_sub(poly_mul(f2_16, t1, p), t2, p)
             else:
-                psi.append(poly_sub(t1, poly_mul(f2_16, t2, p), p))
-    return psi[: n_max + 1]
+                psi[n] = poly_sub(t1, poly_mul(f2_16, t2, p), p)
+
+    for n in ns:
+        build(n)
+    return psi
 
 
 def _scalar_maps(
-    psi: list[Poly], f: Poly, n: int, reducer: Reducer
+    psi: dict[int, Poly], f: Poly, n: int, reducer: Reducer
 ) -> tuple[tuple[Poly, Poly], tuple[Poly, Poly]]:
     """((X_num, X_den), (Omega_num, Omega_den)) with
     [n](x, y) = (X_num/X_den, y*Omega_num/Omega_den) in F_p[x]/(modulus),
-    the modulus being the reducer's; psi holds psi~_0 .. psi~_(n+2) and f
-    is x^3 + ax + b.
+    the modulus being the reducer's; psi maps n-2 .. n+2 to psi~_(n-2) ..
+    psi~_(n+2) and f is x^3 + ax + b.
     """
     p = reducer.p
     red = reducer.reduce
@@ -142,7 +157,7 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     for even c, and then n is odd.
 
     Raises CapacityError for c > CONDUCTOR_BOUND, before building any
-    division polynomial: psi~_0 .. psi~_c have degrees up to about c^2/2.
+    division polynomial: the modulus psi~_c has degree about c^2/2.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
@@ -167,7 +182,7 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
         n, sign = a_mod, 1
     else:
         n, sign = c - a_mod, -1
-    psi = division_polys(curve, max(c, n + 2))
+    psi = division_polys(curve, [c, *range(max(n - 2, 0), n + 3)])
     f = poly_trim([curve.b, curve.a, 0, 1])
 
     def component_ok(modulus: Poly, compare_y: bool) -> bool:

@@ -238,18 +238,3 @@ def sylow_basis(curve: Curve, l: int):
     ord P = l^a >= ord Q = l^b, from a full listing of the points."""
     N, rows = _listed_points(curve)
     return _sylow_basis(curve, N, rows, l)
-
-
-def count_all_curves(p: int) -> np.ndarray:
-    """|E_{a,b}(F_p)| for every coefficient pair, as a (p, p) array indexed
-    [a][b].  Entries for singular pairs are meaningless; callers filter."""
-    x = np.arange(p, dtype=np.int64)
-    chi = np.full(p, -1, dtype=np.int64)
-    chi[x * x % p] = 1
-    chi[0] = 0
-    shifts = np.arange(p, dtype=np.int64)
-    counts = np.empty((p, p), dtype=np.int64)
-    for a in range(p):
-        vals = (x * x * x + a * x) % p
-        counts[a] = p + 1 + chi[(vals[:, None] + shifts[None, :]) % p].sum(axis=0)
-    return counts

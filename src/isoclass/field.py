@@ -207,12 +207,13 @@ def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
 def _poly_mul_packed(a: Poly, b: Poly, p: int) -> Poly:
     # Kronecker substitution: pack coefficients into one big integer per
     # operand so the convolution becomes a single bignum multiply.  Slot
-    # width must hold min(len) * (p-1)^2 without carries.
+    # width must hold min(len) * (p-1)^2 without carries.  A square packs
+    # its operand once.
     slot_bytes = ((min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 7) // 8
     pa = int.from_bytes(
         b"".join(c.to_bytes(slot_bytes, "little") for c in a), "little"
     )
-    pb = int.from_bytes(
+    pb = pa if b is a else int.from_bytes(
         b"".join(c.to_bytes(slot_bytes, "little") for c in b), "little"
     )
     prod = pa * pb
@@ -319,15 +320,18 @@ class Reducer:
         return poly_trim(self._reduce_block(a))
 
     def pow(self, base: Poly, e: int) -> Poly:
-        """base^e mod m by square-and-multiply, for e >= 0."""
+        """base^e mod m for e >= 0, squaring and multiplying from the most
+        significant bit down, so every multiply is by the reduced base (a
+        short one, like x or x^3 + ax + b, stays a cheap schoolbook product)."""
+        if e == 0:
+            return [1]
         p, red = self.p, self.reduce
-        result = [1]
         base = red(base)
-        while e:
-            if e & 1:
+        result = base
+        for bit in bin(e)[3:]:
+            result = red(poly_mul(result, result, p))
+            if bit == "1":
                 result = red(poly_mul(result, base, p))
-            base = red(poly_mul(base, base, p))
-            e >>= 1
         return result
 
     def _reduce_block(self, a: Poly) -> Poly:
@@ -359,13 +363,6 @@ def poly_powmod(base: Poly, e: int, m: Poly, p: int) -> Poly:
     if e < 0:
         raise ValueError("negative exponent")
     return Reducer(m, p).pow(base, e)
-
-
-def poly_eval(a: Poly, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def _is_irreducible(f: Poly, p: int) -> bool:

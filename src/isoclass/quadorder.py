@@ -102,37 +102,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return -m, c
 
 
-def lte(p: int, a: int, b: int, k: int) -> int:
-    """v_p(a^k - b^k) by lifting the exponent: equals v_p(a - b) + v_p(k).
-
-    Requires a = b (mod p), neither divisible by p, a != b, k >= 1, and for
-    p = 2 additionally a = b (mod 4).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if a % p != b % p:
-        raise ValueError("a and b must be congruent mod p")
-    if a % p == 0:
-        raise ValueError("a and b must be coprime to p")
-    if a == b:
-        raise ValueError("a = b makes the valuation infinite")
-    if p == 2 and (a - b) % 4 != 0:
-        raise ValueError("p = 2 requires a = b (mod 4)")
-    return vp(a - b, p) + vp(k, p)
-
-
-def binom_valuation(p: int, l: int, m: int, r: int) -> int:
-    """v_p of binomial(p^l * m, r) for p coprime to m and 0 < r <= p^l:
-    equals l - v_p(r)."""
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    if m % p == 0:
-        raise ValueError("m must be coprime to p")
-    if not 0 < r <= p**l:
-        raise ValueError("need 0 < r <= p^l")
-    return l - vp(r, p)
-
-
 def _iroot(n: int, k: int) -> int:
     """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
     r = 1 << -(-n.bit_length() // k)

@@ -30,11 +30,11 @@ from isoclass import (
     vp,
 )
 from isoclass.cli import main as cli_main
-from isoclass.cli import pattern_text, render_pairwise_table
+from isoclass.cli import pattern_text
 from isoclass.curve import CapacityError
-from isoclass.enumeration import count_all_curves
 from isoclass.field import ExtField
-from isoclass.quadorder import binom_valuation, lte
+
+from helpers import binom_valuation, count_all_curves, lte, render_pairwise_table
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -12,11 +12,11 @@ from isoclass.cli import (
     main,
     parse_curve_spec,
     pattern_text,
-    render_pairwise_table,
 )
 from isoclass.isomorphy import ComparisonInput, IsoPattern, iso_pattern, pattern_eval
 
 from conftest import EXAMPLE1
+from helpers import render_pairwise_table
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -261,6 +261,16 @@ def test_no_hang_on_large_q_or_conductor():
     run = _run_module("analyze", "1018097:3,0", timeout=30)
     assert run.returncode == 5
     assert "conductor bound 211" in run.stderr
+
+
+def test_conductor_at_the_bound():
+    # b = 211 = CONDUCTOR_BOUND (j = 1728): the largest prime power the
+    # conductor test accepts answers well within the timeout
+    run = _run_module("analyze", "44537:3,0", "--json", timeout=30)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["frobenius"]["b"] == "211"
+    assert report["conductors"] == ["1"]
 
 
 def test_usage_error_is_2(capsys):

@@ -14,13 +14,12 @@ from isoclass.enumeration import (
     _listed_points,
     _sylow_basis,
     _tables,
-    count_all_curves,
     group_structure,
 )
 from isoclass.field import ExtField, PrimeField, is_prime, sqrt_mod
 from isoclass.quadorder import frobenius_from_trace, vp
 
-from helpers import is_ordinary, legendre, points
+from helpers import count_all_curves, is_ordinary, legendre, points
 
 
 def test_rejects_singular_and_small_char():

@@ -11,11 +11,11 @@ from isoclass.endoring import (
     division_polys,
     scalar_action_test,
 )
-from isoclass.field import ExtField, PrimeField, Reducer, poly_eval, poly_gcd, poly_trim
+from isoclass.field import ExtField, PrimeField, Reducer, poly_gcd, poly_trim
 from isoclass.quadorder import factorize, frobenius_from_trace
 
 from conftest import EXAMPLE1
-from helpers import points
+from helpers import poly_eval, points
 
 
 def _curve35():
@@ -26,7 +26,7 @@ def test_division_poly_degrees_and_leads():
     # below the characteristic: deg = (n^2-1)/2 for odd n, (n^2-4)/2 for even,
     # leading coefficient n resp. n/2
     e = _curve35()
-    psit = division_polys(e, 30)
+    psit = division_polys(e, range(31))
     p = 3329
     for n in range(1, 31):
         f = psit[n]
@@ -36,16 +36,43 @@ def test_division_poly_degrees_and_leads():
         else:
             assert len(f) - 1 == (n * n - 4) // 2, n
             assert f[-1] == n // 2 % p
-    small = division_polys(Curve(PrimeField(13), 2, 3), 12)
+    small = division_polys(Curve(PrimeField(13), 2, 3), range(13))
     assert len(small) == 13
     assert small[3] == [9, 10, 12, 0, 3]  # 3x^4 + 6Ax^2 + 12Bx - A^2 mod 13
+
+
+def test_division_poly_windows_match_full_recurrence():
+    # requesting psi~_c and psi~_(n-2..n+2) alone builds only the windows
+    # their doubling chains reach, and gives the same polynomials as
+    # requesting every index 0..c
+    rng = random.Random(5)
+    prime_powers = [c for c in range(2, 65) if len(factorize(c)) == 1]
+    for p in (13, 101, 2909):
+        fp = PrimeField(p)
+        for _ in range(2):
+            while True:
+                e = Curve(fp, rng.randrange(p), rng.randrange(1, p))
+                if (4 * e.a**3 + 27 * e.b**2) % p and e.trace() % p:
+                    break
+            a = frobenius_from_trace(p, e.trace()).a
+            full = division_polys(e, range(67))
+            for c in prime_powers:
+                if c % p == 0:
+                    continue
+                for n in (a % c, -a % c):
+                    want = [c, *range(max(n - 2, 0), n + 3)]
+                    got = division_polys(e, want)
+                    for k in want:
+                        assert got[k] == full[k], (p, e.a, e.b, c, n, k)
+    # psi~_151 alone: a few windows per binary digit, not all 152
+    assert len(division_polys(Curve(PrimeField(13), 2, 3), [151])) <= 40
 
 
 def test_division_poly_roots_are_torsion():
     # roots of the n-th polynomial are exactly x-coords of affine n-torsion
     # away from the 2-torsion
     e = Curve(PrimeField(13), 2, 3)
-    psit = division_polys(e, 9)
+    psit = division_polys(e, range(10))
     pts = list(points(e))
     for n in range(2, 10):
         roots = {x for x in range(13) if poly_eval(psit[n], x, 13) == 0}
@@ -60,7 +87,7 @@ def test_division_poly_roots_are_torsion():
 
 def test_division_poly_coprime_to_two_torsion():
     e = _curve35()
-    psit = division_polys(e, 15)
+    psit = division_polys(e, range(16))
     f = [e.b, e.a, 0, 1]
     for n in range(2, 16):
         assert poly_gcd(psit[n], f, 3329) == [1]
@@ -71,7 +98,7 @@ def test_scalar_maps_match_scalar_mul():
     # leaves each numerator and denominator as its value at x0
     e = Curve(PrimeField(101), 3, 8)
     p = 101
-    psi = division_polys(e, 13)
+    psi = division_polys(e, range(14))
     f = poly_trim([e.b, e.a, 0, 1])
     pts = list(points(e))[:12]
     for n in range(2, 11):
@@ -113,7 +140,7 @@ def test_scalar_map_denominators_are_units():
                 for j in range(1, v + 1):
                     c = l**j
                     n = min(frob.a % c, -frob.a % c)
-                    psi = division_polys(e, max(c, n + 2))
+                    psi = division_polys(e, [c, *range(max(n - 2, 0), n + 3)])
                     moduli = [psi[c]] + ([f] if c % 2 == 0 else [])
                     for m in moduli:
                         if len(m) < 2:

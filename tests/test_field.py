@@ -10,7 +10,6 @@ from isoclass.field import (
     find_irreducible,
     is_prime,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     poly_invmod,
     poly_mod,
@@ -18,7 +17,7 @@ from isoclass.field import (
     poly_powmod,
 )
 
-from helpers import legendre
+from helpers import legendre, poly_eval
 
 
 def test_is_prime_small():

@@ -9,15 +9,15 @@ from isoclass.quadorder import (
     FrobeniusData,
     OrderElem,
     SupersingularError,
-    binom_valuation,
     delta_kind,
     factorize,
     frobenius_from_trace,
-    lte,
     mult_order,
     squarefree_decompose,
     vp,
 )
+
+from helpers import binom_valuation, lte
 
 
 def test_vp():

@@ -5,7 +5,8 @@ class, derive a pattern from raw (q, t, g, g') data, and cross-check a
 comparison against the brute-force enumeration oracle.
 
 Exit codes: 0 ok, 2 invalid input, 3 supersingular curve, 4 point-count
-mismatch, 5 enumeration capacity exceeded.  JSON reports render every big
+mismatch, 5 capacity exceeded (a bound of the point count, the conductor,
+the enumeration, or the two ceilings below).  JSON reports render every big
 integer as a decimal string.
 """
 
@@ -31,6 +32,14 @@ from .quadorder import FrobeniusData, SupersingularError, frobenius_from_trace
 
 _SPEC_RE = re.compile(r"^(\d+):(-?\d+),(-?\d+)$")
 ALLOWED_LIMIT = 10**6  # largest modulus whose allowed residues a report lists
+# Largest oracle --bound.  The enumeration peaks near 30 MB + 80 bytes per
+# element of F_(q^k): 334 MB and 1.4 s at q^k = 1999^2.
+BOUND_LIMIT = 4 * 10**6
+# Largest kmax * q.bit_length() that compare --kmax tabulates.  tau^k has
+# about k * q.bit_length() / 2 bits, so the gcd test's cost grows with both;
+# at the limit it answers in about 2 s (q = 7, kmax 6666; 1.2 s at q near
+# 10^18, kmax 333).
+KMAX_BITS_LIMIT = 20000
 
 
 class CountMismatchError(ValueError):
@@ -180,6 +189,10 @@ def cmd_compare(args) -> tuple[dict, str]:
     if args.kmax < 0:
         raise ValueError(f"--kmax must be >= 0, got {args.kmax}")
     _, _, count, frob, inp = _comparison_setup(args.curve_a, args.curve_b)
+    if args.kmax * frob.q.bit_length() > KMAX_BITS_LIMIT:
+        raise CapacityError(
+            f"--kmax {args.kmax} times the {frob.q.bit_length()} bits of q exceeds {KMAX_BITS_LIMIT}"
+        )
     pattern = iso_pattern(inp)
     report, lines = _comparison_report(args, inp, count, pattern)
     if args.kmax:
@@ -220,6 +233,8 @@ def cmd_pattern(args) -> tuple[dict, str]:
 def cmd_oracle(args) -> tuple[dict, str]:
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
+    if args.bound > BOUND_LIMIT:
+        raise CapacityError(f"--bound {args.bound} exceeds the enumeration ceiling {BOUND_LIMIT}")
     ea, eb, count, frob, inp = _comparison_setup(args.curve_a, args.curve_b)
     pattern = iso_pattern(inp)
     bound = args.bound

@@ -23,7 +23,6 @@ from .field import (
     Reducer,
     poly_deg,
     poly_mul,
-    poly_neg,
     poly_scale,
     poly_sub,
     poly_trim,
@@ -99,46 +98,31 @@ def division_polys(curve: Curve, ns: Iterable[int]) -> dict[int, Poly]:
     return psi
 
 
-def _scalar_maps(
-    psi: dict[int, Poly], f: Poly, n: int, reducer: Reducer
-) -> tuple[tuple[Poly, Poly], tuple[Poly, Poly]]:
-    """((X_num, X_den), (Omega_num, Omega_den)) with
-    [n](x, y) = (X_num/X_den, y*Omega_num/Omega_den) in F_p[x]/(modulus),
-    the modulus being the reducer's; psi maps n-2 .. n+2 to psi~_(n-2) ..
-    psi~_(n+2) and f is x^3 + ax + b.
+def _scalar_maps(psi: dict[int, Poly], f: Poly, n: int, reducer: Reducer) -> tuple[Poly, Poly]:
+    """(X_num, X_den) with x([n](x, y)) = X_num/X_den in F_p[x]/(modulus),
+    the modulus being the reducer's; psi maps n-1 .. n+1 to psi~_(n-1) ..
+    psi~_(n+1) and f is x^3 + ax + b.
     """
     p = reducer.p
     red = reducer.reduce
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        one = red([1])
-        return (red([0, 1]), one), (one, one)
+        return red([0, 1]), red([1])
 
-    pm2 = red(psi[n - 2])
-    pm1 = red(psi[n - 1])
     pn = red(psi[n])
-    pp1 = red(psi[n + 1])
-    pp2 = red(psi[n + 2])
-    f4 = red(poly_scale(f, 4, p))
     pn2 = red(poly_mul(pn, pn, p))
-    pn3 = red(poly_mul(pn2, pn, p))
-    cross = red(poly_mul(pm1, pp1, p))
-    disc = poly_sub(
-        red(poly_mul(pp2, red(poly_mul(pm1, pm1, p)), p)),
-        red(poly_mul(pm2, red(poly_mul(pp1, pp1, p)), p)),
-        p,
-    )
+    cross = red(poly_mul(red(psi[n - 1]), red(psi[n + 1]), p))
+    f4 = red(poly_scale(f, 4, p))
     if n % 2 == 1:
-        # X = x - 4f psi_(n-1) psi_(n+1) / psi_n^2,  Omega = disc / psi_n^3
-        den_x, den_y = pn2, pn3
+        # X = x - 4f psi_(n-1) psi_(n+1) / psi_n^2
+        den_x = pn2
         num_x = poly_sub(red(poly_mul([0, 1], den_x, p)), red(poly_mul(f4, cross, p)), p)
     else:
-        # X = x - psi_(n-1) psi_(n+1) / (4f psi_n^2),  Omega = disc / (16f^2 psi_n^3)
+        # X = x - psi_(n-1) psi_(n+1) / (4f psi_n^2)
         den_x = red(poly_mul(f4, pn2, p))
-        den_y = red(poly_mul(f4, red(poly_mul(f4, pn3, p)), p))
         num_x = poly_sub(red(poly_mul([0, 1], den_x, p)), cross, p)
-    return (num_x, den_x), (disc, den_y)
+    return num_x, den_x
 
 
 def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
@@ -147,14 +131,22 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     accordingly.  Equivalent to g | b/c for the true conductor g.
 
     Runs in F_p[x]/(psi~_c), and for even c also in F_p[x]/(f), with
-    n = +-a mod c in [1, c/2]: tau = [+-n] on E[c] is checked as
-    X_num = X_den * x^q and +-Omega_num = Omega_den * f^((q-1)/2).  Every
+    n = +-a mod c in [1, c/2], as the x-check X_num = X_den * x^q.  Every
     denominator is a unit there, so the cross-multiplied check is exact.
-    The denominators are products of powers of psi~_n and, for even n, of
-    f.  Since gcd(a, b) = 1 (a common prime would divide the prime q), n is
-    coprime to c, so E[n] meets E[c] only in O and psi~_n shares no root
-    with psi~_c.  The roots of f are the 2-torsion, which lies in E[c] only
-    for even c, and then n is odd.
+    The denominators are powers of psi~_n times, for even n, f.  Since
+    gcd(a, b) = 1 (a common prime would divide the prime q), n is coprime
+    to c, so E[n] meets E[c] only in O and psi~_n shares no root with
+    psi~_c.  The roots of f are the 2-torsion, which lies in E[c] only for
+    even c, and then n is odd.
+
+    The x-check alone decides: it holds exactly when pi(P) = +-[n]P for
+    every P in E[c] minus O.  Then M = [n]^-1 pi is linear on E[c] = (Z/c)^2
+    and pointwise +-1: M e1 = s1 e1, M e2 = s2 e2 and M(e1 + e2) =
+    s(e1 + e2) give s1 = s = s2 mod c, and for c >= 3 the differences, each
+    0 or +-2, vanish, so M = +-1.  If pi = [-a] on E[c], then (tau + a)/c =
+    (2a + b delta)/c lies in End(E), inside the maximal order, so c | 2a;
+    but gcd(a, c) = 1 and c >= 3.  Hence pi = [a] on E[c].  For c = 2,
+    [a] = [-a] on E[2].
 
     Raises CapacityError for c > CONDUCTOR_BOUND, before building any
     division polynomial: the modulus psi~_c has degree about c^2/2.
@@ -177,37 +169,18 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     if c > CONDUCTOR_BOUND:
         raise CapacityError(f"prime power {c} exceeds the conductor bound {CONDUCTOR_BOUND}")
 
-    a_mod = frob.a % c
-    if a_mod <= c - a_mod:
-        n, sign = a_mod, 1
-    else:
-        n, sign = c - a_mod, -1
-    psi = division_polys(curve, [c, *range(max(n - 2, 0), n + 3)])
+    n = min(frob.a % c, -frob.a % c)
+    psi = division_polys(curve, [c, n - 1, n, n + 1])
     f = poly_trim([curve.b, curve.a, 0, 1])
-
-    def component_ok(modulus: Poly, compare_y: bool) -> bool:
+    # x-coordinates of E[c] minus O are the roots of psi~_c, and for even c
+    # also of f (the 2-torsion); psi~_2 = 1 has none
+    for modulus in [psi[c], f] if c % 2 == 0 else [psi[c]]:
         if poly_deg(modulus) < 1:
-            return True
+            continue
         reducer = Reducer(modulus, q)
-        red = reducer.reduce
-        (num_x, den_x), (num_y, den_y) = _scalar_maps(psi, f, n, reducer)
-        xq = reducer.pow([0, 1], q)
-        if red(poly_mul(den_x, xq, q)) != num_x:
+        num_x, den_x = _scalar_maps(psi, f, n, reducer)
+        if reducer.reduce(poly_mul(den_x, reducer.pow([0, 1], q), q)) != num_x:
             return False
-        if compare_y:
-            half = reducer.pow(f, (q - 1) // 2)
-            target = num_y if sign == 1 else poly_neg(num_y, q)
-            if red(poly_mul(den_y, half, q)) != target:
-                return False
-        return True
-
-    # x-coordinates of E[c] \ {O} are the roots of psi~_c (times f for even
-    # c, which adds the 2-torsion).  On the f part both y's are zero, so only
-    # the x comparison is meaningful there.
-    if not component_ok(psi[c], True):
-        return False
-    if c % 2 == 0 and not component_ok(f, False):
-        return False
     return True
 
 

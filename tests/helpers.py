@@ -1,11 +1,13 @@
 """Reference helpers that only the tests use: exhaustive point listing, the
 ordinary check, the Legendre symbol, polynomial evaluation, the counts of
-every curve over F_p, the pairwise pattern table, and the paper's two
-valuation lemmas (lifting the exponent, binomial valuation)."""
+every curve over F_p, the pairwise pattern table, the paper's two
+valuation lemmas (lifting the exponent, binomial valuation), and the scalar
+action test on both coordinates."""
 
 import numpy as np
 
-from isoclass.field import is_prime
+from isoclass.endoring import division_polys
+from isoclass.field import Reducer, is_prime, poly_mul, poly_neg, poly_scale, poly_sub, poly_trim
 from isoclass.quadorder import vp
 
 
@@ -106,3 +108,65 @@ def binom_valuation(p: int, l: int, m: int, r: int) -> int:
     if not 0 < r <= p**l:
         raise ValueError("need 0 < r <= p^l")
     return l - vp(r, p)
+
+
+def scalar_maps_xy(psi, f, n, reducer):
+    """((X_num, X_den), (Omega_num, Omega_den)) with
+    [n](x, y) = (X_num/X_den, y*Omega_num/Omega_den) in F_p[x]/(modulus),
+    the modulus being the reducer's; psi maps n-2 .. n+2 to psi~_(n-2) ..
+    psi~_(n+2) and f is x^3 + ax + b."""
+    p = reducer.p
+    red = reducer.reduce
+    if n == 1:
+        one = red([1])
+        return (red([0, 1]), one), (one, one)
+    pm2, pm1, pn, pp1, pp2 = (red(psi[k]) for k in range(n - 2, n + 3))
+    f4 = red(poly_scale(f, 4, p))
+    pn2 = red(poly_mul(pn, pn, p))
+    pn3 = red(poly_mul(pn2, pn, p))
+    cross = red(poly_mul(pm1, pp1, p))
+    disc = poly_sub(
+        red(poly_mul(pp2, red(poly_mul(pm1, pm1, p)), p)),
+        red(poly_mul(pm2, red(poly_mul(pp1, pp1, p)), p)),
+        p,
+    )
+    if n % 2 == 1:
+        # X = x - 4f psi_(n-1) psi_(n+1) / psi_n^2,  Omega = disc / psi_n^3
+        den_x, den_y = pn2, pn3
+        num_x = poly_sub(red(poly_mul([0, 1], den_x, p)), red(poly_mul(f4, cross, p)), p)
+    else:
+        # X = x - psi_(n-1) psi_(n+1) / (4f psi_n^2),  Omega = disc / (16f^2 psi_n^3)
+        den_x = red(poly_mul(f4, pn2, p))
+        den_y = red(poly_mul(f4, red(poly_mul(f4, pn3, p)), p))
+        num_x = poly_sub(red(poly_mul([0, 1], den_x, p)), cross, p)
+    return (num_x, den_x), (disc, den_y)
+
+
+def scalar_action_test_xy(curve, frob, c):
+    """The conductor's scalar action test on both coordinates: tau = [+-n]
+    on E[c], n = +-a mod c in [1, c/2], checked as X_num = X_den * x^q and
+    +-Omega_num = Omega_den * f^((q-1)/2) modulo psi~_c, and as the x-check
+    alone modulo f for even c (both y's vanish on the 2-torsion).  c is a
+    prime power dividing b, coprime to q."""
+    q = curve.ctx.p
+    a_mod = frob.a % c
+    n, sign = (a_mod, 1) if a_mod <= c - a_mod else (c - a_mod, -1)
+    psi = division_polys(curve, [c, *range(max(n - 2, 0), n + 3)])
+    f = poly_trim([curve.b, curve.a, 0, 1])
+
+    def component_ok(modulus, compare_y):
+        if len(modulus) < 2:
+            return True
+        reducer = Reducer(modulus, q)
+        red = reducer.reduce
+        (num_x, den_x), (num_y, den_y) = scalar_maps_xy(psi, f, n, reducer)
+        if red(poly_mul(den_x, reducer.pow([0, 1], q), q)) != num_x:
+            return False
+        if compare_y:
+            half = reducer.pow(f, (q - 1) // 2)
+            target = num_y if sign == 1 else poly_neg(num_y, q)
+            if red(poly_mul(den_y, half, q)) != target:
+                return False
+        return True
+
+    return component_ok(psi[c], True) and (c % 2 == 1 or component_ok(f, False))

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from isoclass import curve
+from isoclass import cli, curve
 from isoclass.cli import (
+    BOUND_LIMIT,
+    KMAX_BITS_LIMIT,
     main,
     parse_curve_spec,
     pattern_text,
@@ -235,13 +237,17 @@ def test_each_curve_counted_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def _run_module(*args, timeout=60):
+def _run_python(*args, timeout=60):
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "isoclass", *args],
+        [sys.executable, *args],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def _run_module(*args, timeout=60):
+    return _run_python("-m", "isoclass", *args, timeout=timeout)
 
 
 def test_python_m_isoclass():
@@ -271,6 +277,53 @@ def test_conductor_at_the_bound():
     report = json.loads(run.stdout)
     assert report["frobenius"]["b"] == "211"
     assert report["conductors"] == ["1"]
+
+
+def test_oracle_bound_ceiling(capsys):
+    # the ceiling is inclusive
+    assert BOUND_LIMIT == 4 * 10**6
+    assert main(["oracle", "5:1,1", "5:1,4", "--kmax", "4", "--bound", str(BOUND_LIMIT)]) == 0
+    assert main(["oracle", "5:1,1", "5:1,4", "--kmax", "4", "--bound", str(BOUND_LIMIT + 1)]) == 5
+    assert "enumeration ceiling" in capsys.readouterr().err
+
+
+# runs the CLI with the enumeration replaced by a failure, so a missing
+# ceiling shows as a traceback instead of a multi-GiB allocation
+_NO_ENUMERATION = (
+    "import sys\n"
+    "from isoclass import cli, enumeration\n"
+    "def boom(*args):\n"
+    "    raise AssertionError('enumerated past the ceiling')\n"
+    "enumeration.group_structure = enumeration.sylow_basis = boom\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "1009:1,1", "1009:1,1", "--kmax", "3", "--bound", "10000000000"],
+    ["oracle", "1000003:1,1", "1000003:1,1", "--kmax", "2", "--bound", "10000000000000"],
+], ids=["1009^3", "1000003^2"])
+def test_oracle_huge_bound_exits_5(argv):
+    run = _run_python("-c", _NO_ENUMERATION, *argv, timeout=30)
+    assert run.returncode == 5, run.stderr
+    assert "enumeration ceiling" in run.stderr
+
+
+def test_compare_kmax_ceiling(monkeypatch, capsys):
+    # q = 3329 has 12 bits: kmax 1666 is the largest accepted; the gcd test
+    # is stubbed, since only the ceiling is under test here
+    monkeypatch.setattr(cli, "gcd_criterion", lambda inp, k: True)
+    assert KMAX_BITS_LIMIT == 20000
+    assert main(["compare", "3329:49,0", "3329:1,98", "--kmax", "1666", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["per_k"]) == 1666
+    assert main(["compare", "3329:49,0", "3329:1,98", "--kmax", "1667"]) == 5
+    assert "exceeds 20000" in capsys.readouterr().err
+
+
+def test_compare_huge_kmax_exits_5():
+    run = _run_module("compare", "3329:49,0", "3329:1,98", "--kmax", "20000", timeout=30)
+    assert run.returncode == 5, run.stderr
+    assert "exceeds 20000" in run.stderr
 
 
 def test_usage_error_is_2(capsys):

@@ -11,11 +11,11 @@ from isoclass.endoring import (
     division_polys,
     scalar_action_test,
 )
-from isoclass.field import ExtField, PrimeField, Reducer, poly_gcd, poly_trim
+from isoclass.field import ExtField, PrimeField, Reducer, is_prime, poly_gcd, poly_trim
 from isoclass.quadorder import factorize, frobenius_from_trace
 
 from conftest import EXAMPLE1
-from helpers import poly_eval, points
+from helpers import poly_eval, points, scalar_action_test_xy, scalar_maps_xy
 
 
 def _curve35():
@@ -95,7 +95,8 @@ def test_division_poly_coprime_to_two_torsion():
 
 def test_scalar_maps_match_scalar_mul():
     # evaluate the rational maps at sample points: reducing modulo x - x0
-    # leaves each numerator and denominator as its value at x0
+    # leaves each numerator and denominator as its value at x0; the y map
+    # is checked on the two-coordinate reference
     e = Curve(PrimeField(101), 3, 8)
     p = 101
     psi = division_polys(e, range(14))
@@ -108,7 +109,8 @@ def test_scalar_maps_match_scalar_mul():
             if want is None:
                 continue
             red = Reducer([(-x0) % p, 1], p)
-            (num_x, den_x), (num_y, den_y) = _scalar_maps(psi, f, n, red)
+            num_x, den_x = _scalar_maps(psi, f, n, red)
+            _, (num_y, den_y) = scalar_maps_xy(psi, f, n, red)
             dx, dy = poly_eval(den_x, x0, p), poly_eval(den_y, x0, p)
             if dx == 0 or dy == 0:
                 continue  # point near the kernel
@@ -119,8 +121,8 @@ def test_scalar_maps_match_scalar_mul():
 
 
 def test_scalar_map_denominators_are_units():
-    # n = +-a mod c is coprime to c, so the denominators (powers of psi~_n,
-    # times f for even n) share no root with psi~_c, nor with f for even c:
+    # n = +-a mod c is coprime to c, so the denominator (a power of psi~_n,
+    # times f for even n) shares no root with psi~_c, nor with f for even c:
     # the cross-multiplied action test never needs to split its modulus
     rng = random.Random(7)
     seen = set()
@@ -140,17 +142,43 @@ def test_scalar_map_denominators_are_units():
                 for j in range(1, v + 1):
                     c = l**j
                     n = min(frob.a % c, -frob.a % c)
-                    psi = division_polys(e, [c, *range(max(n - 2, 0), n + 3)])
+                    psi = division_polys(e, [c, n - 1, n, n + 1])
                     moduli = [psi[c]] + ([f] if c % 2 == 0 else [])
                     for m in moduli:
                         if len(m) < 2:
                             continue
-                        (_, den_x), (_, den_y) = _scalar_maps(psi, f, n, Reducer(m, q))
-                        for den in (den_x, den_y):
-                            assert poly_gcd(den, m, q) == [1], (q, a, b, c)
+                        _, den_x = _scalar_maps(psi, f, n, Reducer(m, q))
+                        assert poly_gcd(den_x, m, q) == [1], (q, a, b, c)
                     seen.add((c % 2, n % 2, n > 1))
     # odd c with even and odd n > 1; powers of 2 with odd n > 1
     assert {(1, 0, True), (1, 1, True), (0, 1, True)} <= seen, seen
+
+
+def test_scalar_action_test_matches_xy_reference():
+    # the x-check alone gives the verdict of the check on both coordinates,
+    # at every prime power c dividing b, passing and failing, even and odd
+    rng = random.Random(11)
+    primes = [p for p in range(5, 1200) if is_prime(p)]
+    seen = {}
+    for _ in range(1500):
+        q = rng.choice(primes)
+        a, b = rng.randrange(q), rng.randrange(q)
+        if (4 * a**3 + 27 * b**2) % q == 0:
+            continue
+        e = Curve(PrimeField(q), a, b)
+        t = e.trace()
+        if t % q == 0:
+            continue
+        frob = frobenius_from_trace(q, t)
+        for l, v in factorize(frob.b).items():
+            for j in range(1, v + 1):
+                c = l**j
+                assert c <= CONDUCTOR_BOUND
+                ok = scalar_action_test(e, frob, c)
+                assert ok == scalar_action_test_xy(e, frob, c), (q, a, b, c)
+                key = (c % 2, ok)
+                seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 4 and min(seen.values()) >= 50, seen
 
 
 def test_scalar_action_test_detects_conductor():

@@ -44,7 +44,6 @@ from .isomorphy import (
 )
 from .quadorder import (
     FrobeniusData,
-    OrderElem,
     SupersingularError,
     factorize,
     frobenius_from_trace,
@@ -66,7 +65,6 @@ __all__ = [
     "FrobeniusData",
     "GroupStructure",
     "IsoPattern",
-    "OrderElem",
     "PrimeAnalysis",
     "PrimeField",
     "SingularCurveError",

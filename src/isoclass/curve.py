@@ -39,10 +39,6 @@ class GroupStructure:
         if self.n2 % self.n1 != 0:
             raise ValueError("n1 must divide n2")
 
-    @property
-    def order(self) -> int:
-        return self.n1 * self.n2
-
 
 class Curve:
     """y^2 = x^3 + a*x + b over the field context ctx."""
@@ -160,9 +156,6 @@ class Curve:
             else:
                 self._count = _count_mestre(self)
         return self._count
-
-    def trace(self) -> int:
-        return self.ctx.p + 1 - self.count_points()
 
     def lift(self, ctx) -> "Curve":
         """The same equation read over an extension of the base field."""

@@ -8,8 +8,6 @@ fixed-width tuples of length k, so they hash and compare structurally.
 
 from __future__ import annotations
 
-import itertools
-
 Poly = list[int]
 
 # Miller-Rabin with this base set is deterministic below 3.317e24.
@@ -128,9 +126,6 @@ class PrimeField:
         if e < 0:
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
-
-    def elements(self):
-        return iter(range(self.p))
 
     def encode(self, a: int) -> int:
         return a
@@ -406,7 +401,7 @@ class ExtField:
 
     Elements are tuples of k ints in [0, p), low coefficient first.  Codes
     are the base-p packed integers sum(c_i * p^i), giving a bijection with
-    range(p^k) that matches the iteration order of elements().
+    range(p^k).
     """
 
     __slots__ = ("base", "k", "modulus", "p")
@@ -470,11 +465,6 @@ class ExtField:
         if e < 0:
             a, e = self.inv(a), -e
         return self.from_poly(poly_powmod(self.to_poly(a), e, self.modulus, self.p))
-
-    def elements(self):
-        for digits in itertools.product(range(self.p), repeat=self.k):
-            # itertools varies the last slot fastest; codes want c0 fastest
-            yield tuple(reversed(digits))
 
     def encode(self, a) -> int:
         code = 0

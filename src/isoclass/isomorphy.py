@@ -119,8 +119,8 @@ def nasty_reduce(frob: FrobeniusData) -> FrobeniusData:
     """Frobenius data of tau^2 over F_{q^2}, with raw components (no sign
     normalization).  Used when p = 2, v_2(b) = 1, where the closed form only
     applies after one squaring; the squared data always has v_2(b) >= 2."""
-    sq = frob.elem**2
-    red = FrobeniusData(q=frob.q**2, t=sq.trace(), elem=sq)
+    a2, b2 = frob.power(2)
+    red = FrobeniusData(q=frob.q**2, t=frob.t**2 - 2 * frob.q, a=a2, b=b2, m=frob.m)
     if vp(red.b, 2) < 2:
         raise AssertionError("squared Frobenius must have v_2(b) >= 2")
     return red

@@ -1,11 +1,11 @@
-"""Imaginary quadratic order arithmetic for the Frobenius of an ordinary
-elliptic curve, plus the integer valuation toolkit used by the isomorphism
-criteria.
+"""The Frobenius of an ordinary elliptic curve as an element of an
+imaginary quadratic order, plus the integer valuation toolkit used by the
+isomorphism criteria.
 
-The Frobenius t^2 - 4q = c^2 * m with m < 0 squarefree lives in Z[delta]
-where delta = sqrt(m) when m = 2, 3 (mod 4) and delta = (1 + sqrt(m))/2 when
-m = 1 (mod 4).  Elements x + y*delta are stored as integer pairs and all
-arithmetic is exact.
+The Frobenius tau, with t^2 - 4q = c^2 * m and m < 0 squarefree, lives in
+Z[delta] where delta = sqrt(m) when m = 2, 3 (mod 4) and delta =
+(1 + sqrt(m))/2 when m = 1 (mod 4).  It is stored as the integer pair
+tau = a + b*delta, and all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def mult_order(a: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# elements x + y*delta of the maximal order containing the Frobenius
+# the Frobenius tau = a + b*delta in the maximal order of Q(sqrt(m))
 
 SQRT = "sqrt"  # delta = sqrt(m),       delta^2 = m            (m = 2, 3 mod 4)
 HALF = "half"  # delta = (1+sqrt(m))/2, delta^2 = delta + (m-1)/4  (m = 1 mod 4)
@@ -151,70 +151,6 @@ def delta_kind(m: int) -> str:
 
 
 @dataclass(frozen=True)
-class OrderElem:
-    """x + y*delta with exact integer components."""
-
-    x: int
-    y: int
-    m: int
-
-    def __post_init__(self):
-        if self.m >= 0:
-            raise ValueError("m must be negative")
-
-    @property
-    def kind(self) -> str:
-        return delta_kind(self.m)
-
-    def __add__(self, other: "OrderElem") -> "OrderElem":
-        self._check(other)
-        return OrderElem(self.x + other.x, self.y + other.y, self.m)
-
-    def __sub__(self, other: "OrderElem") -> "OrderElem":
-        self._check(other)
-        return OrderElem(self.x - other.x, self.y - other.y, self.m)
-
-    def __mul__(self, other: "OrderElem") -> "OrderElem":
-        self._check(other)
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        if self.kind == SQRT:
-            return OrderElem(x1 * x2 + self.m * y1 * y2, x1 * y2 + x2 * y1, self.m)
-        # delta^2 = delta + (m-1)/4
-        c = (self.m - 1) // 4
-        return OrderElem(x1 * x2 + c * y1 * y2, x1 * y2 + x2 * y1 + y1 * y2, self.m)
-
-    def __pow__(self, k: int) -> "OrderElem":
-        if k < 0:
-            raise ValueError("negative powers leave the order")
-        result = OrderElem(1, 0, self.m)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def norm(self) -> int:
-        x, y = self.x, self.y
-        if self.kind == SQRT:
-            return x * x - self.m * y * y
-        return x * x + x * y + y * y * (1 - self.m) // 4
-
-    def trace(self) -> int:
-        if self.kind == SQRT:
-            return 2 * self.x
-        return 2 * self.x + self.y
-
-    def _check(self, other: "OrderElem"):
-        if other.m != self.m:
-            raise ValueError("elements live in different orders")
-
-    def __repr__(self) -> str:
-        return f"({self.x} + {self.y}*delta[m={self.m}])"
-
-
-@dataclass(frozen=True)
 class FrobeniusData:
     """A Frobenius element tau = a + b*delta of norm q and trace t.
 
@@ -222,52 +158,62 @@ class FrobeniusData:
     existing Frobenius (nasty_reduce keeps the raw components, so b may be
     negative there).  gcd(a, b) = 1 holds for every ordinary (q, t).  m is
     checked for square factors p^2 with p <= 13 only; frobenius_from_trace
-    makes it squarefree by factoring.
+    makes it squarefree by factoring.  Powers never touch delta: they are
+    taken in the basis {1, tau} with tau^2 = t*tau - q.
     """
 
     q: int
     t: int
-    elem: OrderElem
+    a: int
+    b: int
+    m: int
 
     def __post_init__(self):
+        # delta^2 = s*delta + n
+        s, n = (0, self.m) if self.kind == SQRT else (1, (self.m - 1) // 4)
+        a, b = self.a, self.b
+        # at norm q and trace t, a common factor d of a and b divides t and
+        # d^2 divides q: checked first, or the gcd(t, q) check would hide it
+        if math.gcd(a, b) != 1:
+            raise ValueError("gcd(a, b) != 1 should be impossible for ordinary input")
         if math.gcd(self.t, self.q) != 1:
             raise SupersingularError(f"gcd(t, q) > 1 for q={self.q}, t={self.t}")
-        if self.elem.norm() != self.q:
+        if a * a + s * a * b - n * b * b != self.q:
             raise ValueError("norm does not equal q")
-        if self.elem.trace() != self.t:
+        if 2 * a + s * b != self.t:
             raise ValueError("trace does not equal t")
         if self.t * self.t >= 4 * self.q:
             raise ValueError("t^2 must be < 4q")
-        if math.gcd(self.a, self.b) != 1:
-            raise ValueError("gcd(a, b) != 1 should be impossible for ordinary input")
         if any(self.m % (p * p) == 0 for p in (2, 3, 5, 7, 11, 13)):
             raise ValueError("m must be squarefree")
 
     @property
-    def a(self) -> int:
-        return self.elem.x
-
-    @property
-    def b(self) -> int:
-        return self.elem.y
-
-    @property
-    def m(self) -> int:
-        return self.elem.m
-
-    @property
     def kind(self) -> str:
-        return self.elem.kind
+        return delta_kind(self.m)
+
+    def _tau_pow(self, k: int) -> tuple[int, int]:
+        """(x, y) with tau^k = x + y*tau, by square-and-multiply from the top
+        bit of k down on tau^2 = t*tau - q; y = u_k and x = -q*u_(k-1) for
+        the Lucas sequence u_(k+1) = t*u_k - q*u_(k-1), u_0 = 0, u_1 = 1."""
+        if k < 0:
+            raise ValueError("negative powers leave the order")
+        q, t = self.q, self.t
+        x, y = 1, 0
+        for bit in bin(k)[2:]:
+            x, y = x * x - q * y * y, y * (2 * x + t * y)
+            if bit == "1":
+                x, y = -q * y, x + t * y
+        return x, y
 
     def power(self, k: int) -> tuple[int, int]:
-        """Components (a_k, b_k) of tau^k."""
-        e = self.elem**k
-        return e.x, e.y
+        """Components (a_k, b_k) of tau^k = a_k + b_k*delta."""
+        x, y = self._tau_pow(k)
+        return x + y * self.a, y * self.b
 
     def point_count(self, k: int = 1) -> int:
-        """|E(F_{q^k})| = norm(tau^k - 1)."""
-        one = OrderElem(1, 0, self.m)
-        return (self.elem**k - one).norm()
+        """|E(F_{q^k})| = norm(tau^k - 1) = q^k + 1 - trace(tau^k)."""
+        x, y = self._tau_pow(k)
+        return self.q**k + 1 - (2 * x + self.t * y)
 
 
 def frobenius_from_trace(q: int, t: int) -> FrobeniusData:
@@ -290,4 +236,4 @@ def frobenius_from_trace(q: int, t: int) -> FrobeniusData:
         a, b = t // 2, c // 2
     else:
         a, b = (t - c) // 2, c
-    return FrobeniusData(q=q, t=t, elem=OrderElem(a, b, m))
+    return FrobeniusData(q=q, t=t, a=a, b=b, m=m)

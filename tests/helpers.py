@@ -1,8 +1,9 @@
-"""Reference helpers that only the tests use: exhaustive point listing, the
-ordinary check, the Legendre symbol, polynomial evaluation, the counts of
-every curve over F_p, the pairwise pattern table, the paper's two
-valuation lemmas (lifting the exponent, binomial valuation), and the scalar
-action test on both coordinates."""
+"""Reference helpers that only the tests use: field elements in code order,
+a curve's trace and a group's order, exhaustive point listing, the ordinary
+check, the Legendre symbol, polynomial evaluation, the counts of every
+curve over F_p, the pairwise pattern table, the paper's two valuation
+lemmas (lifting the exponent, binomial valuation), arithmetic in Z[delta],
+and the scalar action test on both coordinates."""
 
 import numpy as np
 
@@ -11,19 +12,34 @@ from isoclass.field import Reducer, is_prime, poly_mul, poly_neg, poly_scale, po
 from isoclass.quadorder import vp
 
 
+def elements(ctx):
+    """Every element of a prime or extension field, in code order."""
+    return map(ctx.decode, range(ctx.size))
+
+
+def trace(curve) -> int:
+    """Frobenius trace q + 1 - |E(F_q)| of a curve over a prime field."""
+    return curve.ctx.p + 1 - curve.count_points()
+
+
+def group_order(s) -> int:
+    """|Z/n1 x Z/n2| of a GroupStructure."""
+    return s.n1 * s.n2
+
+
 def points(curve):
     """All affine points of a curve by exhaustive sweep (tiny fields)."""
     F = curve.ctx
     roots: dict = {}
-    for y in F.elements():
+    for y in elements(F):
         roots.setdefault(F.mul(y, y), []).append(y)
-    for x in F.elements():
+    for x in elements(F):
         for y in roots.get(curve.rhs(x), ()):
             yield (x, y)
 
 
 def is_ordinary(curve) -> bool:
-    return curve.trace() % curve.ctx.char != 0
+    return trace(curve) % curve.ctx.char != 0
 
 
 def legendre(a: int, p: int) -> int:
@@ -108,6 +124,41 @@ def binom_valuation(p: int, l: int, m: int, r: int) -> int:
     if not 0 < r <= p**l:
         raise ValueError("need 0 < r <= p^l")
     return l - vp(r, p)
+
+
+def zd_mul(u, v, m: int, n: int | None = None):
+    """(x1 + y1*delta)(x2 + y2*delta) in Z[delta], with delta = sqrt(m) for
+    m = 2, 3 (mod 4) and (1 + sqrt(m))/2 for m = 1 (mod 4); reduced mod n
+    when n is given."""
+    (x1, y1), (x2, y2) = u, v
+    if m % 4 == 1:  # delta^2 = delta + (m-1)/4
+        x, y = x1 * x2 + (m - 1) // 4 * y1 * y2, x1 * y2 + x2 * y1 + y1 * y2
+    else:  # delta^2 = m
+        x, y = x1 * x2 + m * y1 * y2, x1 * y2 + x2 * y1
+    return (x, y) if n is None else (x % n, y % n)
+
+
+def zd_pow(u, k: int, m: int, n: int | None = None):
+    """u^k in Z[delta] by repeated squaring, reduced mod n when n is given."""
+    out, base = (1, 0), u
+    while k:
+        if k & 1:
+            out = zd_mul(out, base, m, n)
+        base = zd_mul(base, base, m, n)
+        k >>= 1
+    return out
+
+
+def zd_norm(u, m: int) -> int:
+    x, y = u
+    if m % 4 == 1:
+        return x * x + x * y + y * y * (1 - m) // 4
+    return x * x - m * y * y
+
+
+def zd_trace(u, m: int) -> int:
+    x, y = u
+    return 2 * x + y if m % 4 == 1 else 2 * x
 
 
 def scalar_maps_xy(psi, f, n, reducer):

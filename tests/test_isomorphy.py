@@ -20,9 +20,10 @@ from isoclass.isomorphy import (
     valuation_criterion,
 )
 from isoclass.field import is_prime
-from isoclass.quadorder import OrderElem, factorize, frobenius_from_trace, vp
+from isoclass.quadorder import factorize, frobenius_from_trace, vp
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
+from helpers import group_order, zd_norm, zd_pow, zd_trace
 
 
 def test_comparison_input_validation():
@@ -102,10 +103,11 @@ def test_prime_set_factors_b_once_across_k(monkeypatch):
 
 
 def test_nasty_reduce():
-    red = nasty_reduce(EXAMPLE3.frob)
+    frob = EXAMPLE3.frob
+    red = nasty_reduce(frob)
     assert (red.a, red.b) == (-691, -280)
     assert red.q == 1031**2
-    assert red.t == EXAMPLE3.frob.elem.trace() ** 2 - 2 * 1031
+    assert red.t == zd_trace((frob.a, frob.b), frob.m) ** 2 - 2 * 1031
     assert vp(red.b, 2) >= 2
     assert red.a % 2 == 1
 
@@ -312,7 +314,7 @@ def test_predicted_group_structure_example1():
     for g, n1 in want_n1.items():
         s = predicted_group_structure(frob, g, 1)
         assert s.n1 == n1
-        assert s.order == 3280
+        assert group_order(s) == 3280
 
 
 def test_pattern_eval_rejects_nonpositive_k():
@@ -325,25 +327,6 @@ def _next_prime(n):
     while not is_prime(n):
         n += 1
     return n
-
-
-def _tau_pow_mod(frob, k, n):
-    """(a_k mod n, b_k mod n) for tau^k = a_k + b_k*delta."""
-    c, extra = (frob.m, 0) if frob.kind == "sqrt" else ((frob.m - 1) // 4, 1)
-
-    def mul(u, v):
-        return (
-            (u[0] * v[0] + c * u[1] * v[1]) % n,
-            (u[0] * v[1] + u[1] * v[0] + extra * u[1] * v[1]) % n,
-        )
-
-    out, base = (1, 0), (frob.a % n, frob.b % n)
-    while k:
-        if k & 1:
-            out = mul(out, base)
-        base = mul(base, base)
-        k >>= 1
-    return out
 
 
 def _vp_capped(x, p, cap):
@@ -367,11 +350,10 @@ def test_three_criteria_agree_large_primes():
         m = rng.choice((-1, -2, -3, -5, -6, -7, -11, -19))
         b = p**j * cof
         a = rng.randrange(-(10**15), 10**15)
-        tau = OrderElem(a, b, m)
-        q = tau.norm()
+        q = zd_norm((a, b), m)
         if math.gcd(a, b) != 1 or not is_prime(q):
             continue
-        frob = frobenius_from_trace(q, tau.trace())
+        frob = frobenius_from_trace(q, zd_trace((a, b), m))
         assert frob.b == b
         divs = _divisors(b)
         base = rng.choice([d for d in divs if d % p])
@@ -390,7 +372,7 @@ def test_three_criteria_agree_large_primes():
         assert pa.p == p
         n = j + 2
         for k in (pa.e, 2 * pa.e):
-            ak, bk = _tau_pow_mod(frob, k, p**n)
+            ak, bk = zd_pow((frob.a, frob.b), k, frob.m, p**n)  # tau^k mod p^n
             va, vb = _vp_capped(ak - 1, p, n), _vp_capped(bk, p, n)
             assert vb < n
             iso = min(va, vb - vp(g, p)) == min(va, vb - vp(g2, p))

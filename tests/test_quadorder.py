@@ -7,7 +7,6 @@ from isoclass.quadorder import (
     HALF,
     SQRT,
     FrobeniusData,
-    OrderElem,
     SupersingularError,
     delta_kind,
     factorize,
@@ -17,7 +16,10 @@ from isoclass.quadorder import (
     vp,
 )
 
-from helpers import binom_valuation, lte
+from isoclass.field import is_prime
+from isoclass.isomorphy import nasty_reduce
+
+from helpers import binom_valuation, lte, zd_mul, zd_norm, zd_pow, zd_trace
 
 
 def test_vp():
@@ -41,8 +43,6 @@ def test_factorize():
         fac = factorize(n)
         prod = 1
         for p, e in fac.items():
-            from isoclass.field import is_prime
-
             assert is_prime(p)
             prod *= p**e
         assert prod == n
@@ -150,42 +150,6 @@ def test_delta_kind():
         delta_kind(5)
 
 
-def test_order_elem_sqrt_arithmetic():
-    # Z[i]: (25 + 52i)^2 = -2079 + 2600i
-    z = OrderElem(25, 52, -1)
-    assert z * z == OrderElem(-2079, 2600, -1)
-    assert z.norm() == 25**2 + 52**2
-    assert z.trace() == 50
-    assert (z + z) == OrderElem(50, 104, -1)
-    assert (z - z) == OrderElem(0, 0, -1)
-    assert z**0 == OrderElem(1, 0, -1)
-    assert z**3 == z * z * z
-
-
-def test_order_elem_half_arithmetic():
-    # delta = (1 + sqrt(-19))/2, delta^2 = delta - 5
-    d = OrderElem(0, 1, -19)
-    assert d * d == OrderElem(-5, 1, -19)
-    # (-17 + 14*delta)^2 = -691 - 280*delta
-    z = OrderElem(-17, 14, -19)
-    assert z * z == OrderElem(-691, -280, -19)
-    assert z.norm() == 1031
-    assert z.trace() == -20
-    # norm is multiplicative
-    w = OrderElem(3, 5, -19)
-    assert (z * w).norm() == z.norm() * w.norm()
-
-
-def test_order_elem_norm_multiplicative_random():
-    rng = random.Random(5)
-    for m in (-1, -2, -7, -19, -163):
-        for _ in range(30):
-            z = OrderElem(rng.randrange(-9, 10), rng.randrange(-9, 10), m)
-            w = OrderElem(rng.randrange(-9, 10), rng.randrange(-9, 10), m)
-            assert (z * w).norm() == z.norm() * w.norm()
-            assert (z + w).trace() == z.trace() + w.trace()
-
-
 def test_frobenius_from_trace_examples():
     f = frobenius_from_trace(3329, 50)
     assert (f.a, f.b, f.m) == (25, 52, -1) and f.kind == SQRT
@@ -206,8 +170,8 @@ def test_frobenius_invariants():
         if t % q == 0 or t * t >= 4 * q:
             continue
         f = frobenius_from_trace(q, t)
-        assert f.elem.norm() == q
-        assert f.elem.trace() == t
+        assert zd_norm((f.a, f.b), f.m) == q
+        assert zd_trace((f.a, f.b), f.m) == t
         assert f.b >= 1
         assert math.gcd(f.a, f.b) == 1
         assert f.point_count(1) == q + 1 - t
@@ -215,8 +179,8 @@ def test_frobenius_invariants():
         tk_prev, tk = 2, t
         for k in range(1, 6):
             ak, bk = f.power(k)
-            assert f.elem**k == OrderElem(ak, bk, f.m)
-            assert OrderElem(ak, bk, f.m).trace() == tk
+            assert zd_pow((f.a, f.b), k, f.m) == (ak, bk)
+            assert zd_trace((ak, bk), f.m) == tk
             tk_prev, tk = tk, t * tk - q * tk_prev
             assert bk % f.b == 0
 
@@ -235,9 +199,65 @@ def test_frobenius_rejects_real():
 
 def test_frobenius_rejects_square_factor_in_m():
     # norm 5, trace 2 and gcd(a, b) = 1 all hold; only m = -4 is wrong
-    elem = OrderElem(1, 1, -4)
     with pytest.raises(ValueError, match="squarefree"):
-        FrobeniusData(5, 2, elem)
+        FrobeniusData(5, 2, 1, 1, -4)
+
+
+def test_frobenius_checks_reject_hand_built_tuples():
+    FrobeniusData(3329, 50, 25, 52, -1)  # the valid tuple the others bend
+    with pytest.raises(ValueError, match="norm"):
+        FrobeniusData(3331, 50, 25, 52, -1)
+    with pytest.raises(ValueError, match="trace"):
+        FrobeniusData(3329, 52, 25, 52, -1)
+    with pytest.raises(ValueError, match="norm"):
+        FrobeniusData(1031, -20, -17, 14, -7)  # m = -19 data read with m = -7
+    with pytest.raises(ValueError, match="t\\^2"):
+        FrobeniusData(1, 2, 1, 0, -1)  # norm 1, trace 2: b = 0 is real
+    with pytest.raises(ValueError, match="gcd\\(a, b\\)"):
+        FrobeniusData(8, 4, 2, 2, -1)  # norm 8, trace 4
+    with pytest.raises(SupersingularError):
+        FrobeniusData(2, 2, 1, 1, -1)  # norm 2, trace 2, gcd(a, b) = 1
+    with pytest.raises(ValueError, match="negative"):
+        FrobeniusData(5, 2, 1, 1, 4)
+
+
+def test_power_edges():
+    f = frobenius_from_trace(3329, 50)
+    assert f.power(0) == (1, 0)
+    with pytest.raises(ValueError):
+        f.power(-1)
+    with pytest.raises(ValueError):
+        f.point_count(-1)
+
+
+def test_power_matches_zdelta_reference():
+    # tau^k from tau^2 = t*tau - q against repeated squaring in Z[delta],
+    # for q from 5 to 10^18, both kinds of delta and k up to 300
+    rng = random.Random(13)
+    kinds = {SQRT: 0, HALF: 0}
+    squared = 0
+    while min(kinds.values()) < 20:
+        q = int(10 ** rng.uniform(0.7, 18))
+        while not is_prime(q):
+            q += 1
+        r = math.isqrt(4 * q - 1)
+        t = rng.randrange(-r, r + 1)
+        if t % q == 0:
+            continue
+        f = frobenius_from_trace(q, t)
+        kinds[f.kind] += 1
+        tau = (f.a, f.b)
+        for k in (*range(12), rng.randrange(12, 300), 300):
+            ak, bk = f.power(k)
+            assert (ak, bk) == zd_pow(tau, k, f.m), (q, t, k)
+            assert f.point_count(k) == zd_norm((ak - 1, bk), f.m), (q, t, k)
+        if f.b % 2 == 0:
+            red = nasty_reduce(f)
+            sq = zd_mul(tau, tau, f.m)
+            assert (red.q, red.t, red.a, red.b, red.m) == (
+                q * q, zd_trace(sq, f.m), *sq, f.m), (q, t)
+            squared += 1
+    assert squared >= 5
 
 
 def test_point_count_via_norm():

@@ -172,12 +172,12 @@ class FrobeniusData:
         # delta^2 = s*delta + n
         s, n = (0, self.m) if self.kind == SQRT else (1, (self.m - 1) // 4)
         a, b = self.a, self.b
-        # at norm q and trace t, a common factor d of a and b divides t and
-        # d^2 divides q: checked first, or the gcd(t, q) check would hide it
-        if math.gcd(a, b) != 1:
-            raise ValueError("gcd(a, b) != 1 should be impossible for ordinary input")
         if math.gcd(self.t, self.q) != 1:
             raise SupersingularError(f"gcd(t, q) > 1 for q={self.q}, t={self.t}")
+        # at norm q and trace t, a common factor of a and b would divide
+        # gcd(t, q): checked before the norm, or the norm check would hide it
+        if math.gcd(a, b) != 1:
+            raise ValueError("gcd(a, b) != 1 should be impossible for ordinary input")
         if a * a + s * a * b - n * b * b != self.q:
             raise ValueError("norm does not equal q")
         if 2 * a + s * b != self.t:

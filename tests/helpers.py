@@ -5,16 +5,22 @@ curve over F_p, the pairwise pattern table, the paper's two valuation
 lemmas (lifting the exponent, binomial valuation), arithmetic in Z[delta],
 and the scalar action test on both coordinates."""
 
+import itertools
+
 import numpy as np
 
 from isoclass.endoring import division_polys
-from isoclass.field import Reducer, is_prime, poly_mul, poly_neg, poly_scale, poly_sub, poly_trim
+from isoclass.field import ExtField, Reducer, is_prime, poly_mul, poly_neg, poly_scale, poly_sub, poly_trim
 from isoclass.quadorder import vp
 
 
 def elements(ctx):
-    """Every element of a prime or extension field, in code order."""
-    return map(ctx.decode, range(ctx.size))
+    """Every element of a prime or extension field, in code order
+    (code = sum c_i*p^i, so c0 varies fastest), listed without decode."""
+    if isinstance(ctx, ExtField):
+        # itertools varies the last slot fastest; codes want c0 fastest
+        return (tuple(reversed(d)) for d in itertools.product(range(ctx.p), repeat=ctx.k))
+    return iter(range(ctx.p))
 
 
 def trace(curve) -> int:

@@ -214,9 +214,11 @@ def test_frobenius_checks_reject_hand_built_tuples():
     with pytest.raises(ValueError, match="t\\^2"):
         FrobeniusData(1, 2, 1, 0, -1)  # norm 1, trace 2: b = 0 is real
     with pytest.raises(ValueError, match="gcd\\(a, b\\)"):
-        FrobeniusData(8, 4, 2, 2, -1)  # norm 8, trace 4
+        FrobeniusData(5, 1, 2, 2, -1)  # gcd(t, q) = 1 here, so the norm (8) is off
     with pytest.raises(SupersingularError):
         FrobeniusData(2, 2, 1, 1, -1)  # norm 2, trace 2, gcd(a, b) = 1
+    with pytest.raises(SupersingularError):
+        FrobeniusData(9, 3, 0, 3, -3)  # norm 9, trace 3, and gcd(a, b) = 3 as well
     with pytest.raises(ValueError, match="negative"):
         FrobeniusData(5, 2, 1, 1, 4)
 

@@ -3,7 +3,7 @@ the same prime field have isomorphic groups of F_(q^k)-rational points.
 
 The answer is a conjunction of per-prime rules: `iso_pattern` returns it as
 "k even" (when a 2-adic rule applies) and d ∤ k for each d in a short list,
-with the period `modulus` and its `allowed` residues derived from it;
+with the period `modulus` and its allowed `residues()` derived from it;
 `gcd_criterion` / `valuation_criterion` give slow per-k ground truth, and
 the enumeration oracle checks everything against actual group structures
 for small fields.

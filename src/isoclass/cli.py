@@ -6,8 +6,8 @@ comparison against the brute-force enumeration oracle.
 
 Exit codes: 0 ok, 2 invalid input, 3 supersingular curve, 4 point-count
 mismatch, 5 capacity exceeded (a bound of the point count, the conductor,
-the enumeration, or the two ceilings below).  JSON reports render every big
-integer as a decimal string.
+the enumeration, the factoring budget, or the two ceilings below).  JSON
+reports render every big integer as a decimal string.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .field import ExtField, PrimeField
 from .isomorphy import (
     ComparisonInput,
     IsoPattern,
-    gcd_criterion,
+    gcd_table,
     iso_pattern,
     pattern_eval,
     predicted_group_structure,
@@ -37,9 +37,12 @@ ALLOWED_LIMIT = 10**6  # largest modulus whose allowed residues a report lists
 BOUND_LIMIT = 4 * 10**6
 # Largest kmax * q.bit_length() that compare --kmax tabulates.  tau^k has
 # about k * q.bit_length() / 2 bits, so the gcd test's cost grows with both;
-# at the limit it answers in about 1.7 s (q = 7, kmax 6666; 1.3 s at q near
+# at the limit it answers in about 1.2 s (q = 7, kmax 6666; 1.3 s at q near
 # 10^18, kmax 333, most of it the point count) on a 2-core x86 host.
 KMAX_BITS_LIMIT = 20000
+# Stands in for a pattern's allowed residues until _json_text writes them;
+# a command-line argument cannot hold the NUL, so no input string equals it.
+_RESIDUES = "\0allowed residues"
 
 
 class CountMismatchError(ValueError):
@@ -86,10 +89,11 @@ def _frob_report(frob: FrobeniusData) -> dict:
 
 def _pattern_section(pattern: IsoPattern) -> tuple[dict, list[str]]:
     """The "primes" and "pattern" report entries and the text lines of a
-    pattern.  "allowed" is null once the modulus exceeds ALLOWED_LIMIT."""
+    pattern.  "allowed" is null once the modulus exceeds ALLOWED_LIMIT, and
+    otherwise holds the pattern's `residues` method, which _json_text calls."""
     text = pattern_text(pattern)
     modulus = pattern.modulus
-    allowed = [str(r) for r in sorted(pattern.allowed)] if modulus <= ALLOWED_LIMIT else None
+    allowed = pattern.residues if modulus <= ALLOWED_LIMIT else None
     report = {
         "primes": [
             {"p": str(pa.p), "s": str(pa.s), "e": str(pa.e), "strict": pa.strict, "case": pa.case}
@@ -196,10 +200,7 @@ def cmd_compare(args) -> tuple[dict, str]:
     pattern = iso_pattern(inp)
     report, lines = _comparison_report(args, inp, count, pattern)
     if args.kmax:
-        per_k = []
-        for k in range(1, args.kmax + 1):
-            iso = gcd_criterion(inp, k)
-            per_k.append({"k": str(k), "iso": iso})
+        per_k = [{"k": str(k), "iso": iso} for k, iso in enumerate(gcd_table(inp, args.kmax), 1)]
         report["per_k"] = per_k
         lines.append("per-k cross-check (gcd test):")
         for row in per_k:
@@ -285,6 +286,24 @@ def cmd_oracle(args) -> tuple[dict, str]:
 # ---------------------------------------------------------------------------
 
 
+def _json_text(report: dict) -> str:
+    """json.dumps(report, indent=2), byte for byte.  The stdlib encoder
+    writes everything but a pattern's allowed residues, which stand in the
+    report as the pattern's `residues` method: those, O(modulus) of them,
+    are written in one join at the depth json.dumps puts them (items at 6
+    spaces, "]" at 4) and spliced in, not encoded one item at a time."""
+    block = ""
+
+    def write_residues(residues) -> str:
+        nonlocal block
+        items = '",\n      "'.join(map(str, residues()))
+        block = f'[\n      "{items}"\n    ]' if items else "[]"
+        return _RESIDUES
+
+    text = json.dumps(report, indent=2, default=write_residues)
+    return text.replace(json.dumps(_RESIDUES), block, 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isoclass",
@@ -344,7 +363,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         print(text)
     return 0

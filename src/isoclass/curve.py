@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
 from .field import PrimeField, sqrt_mod
-from .quadorder import factorize
+from .quadorder import CapacityError, factorize
 
 DEFAULT_BOUND = 10**6
 COUNT_BOUND = 10**18  # largest q that count_points takes
@@ -20,10 +20,6 @@ CONDUCTOR_BOUND = 211  # largest prime power c the conductor's scalar test takes
 
 class SingularCurveError(ValueError):
     """4a^3 + 27b^2 = 0: the cubic has a repeated root."""
-
-
-class CapacityError(RuntimeError):
-    """An exhaustive enumeration would exceed the configured bound."""
 
 
 @dataclass(frozen=True)

@@ -62,14 +62,22 @@ def _strict_flag(a: int, b: int, p: int, e: int, s: int) -> bool:
     return pow(a, e, p ** (vp(e, p) + vp(b, p) - s + 1)) == 1
 
 
+def _gcd_test(inp: ComparisonInput, ak: int, bk: int) -> bool:
+    if bk % inp.g or bk % inp.g2:
+        raise AssertionError("b_k lost divisibility by the conductors")
+    return math.gcd(ak - 1, bk // inp.g) == math.gcd(ak - 1, bk // inp.g2)
+
+
 def gcd_criterion(inp: ComparisonInput, k: int) -> bool:
     """Ground-truth isomorphism test over F_{q^k} via tau^k directly."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ak, bk = inp.frob.power(k)
-    if bk % inp.g or bk % inp.g2:
-        raise AssertionError("b_k lost divisibility by the conductors")
-    return math.gcd(ak - 1, bk // inp.g) == math.gcd(ak - 1, bk // inp.g2)
+    return _gcd_test(inp, *inp.frob.power(k))
+
+
+def gcd_table(inp: ComparisonInput, kmax: int) -> list[bool]:
+    """gcd_criterion(inp, k) for k = 1..kmax, stepping tau^k once per k."""
+    return [_gcd_test(inp, ak, bk) for ak, bk in inp.frob.powers(kmax)]
 
 
 @lru_cache(maxsize=128)
@@ -154,19 +162,18 @@ class IsoPattern:
             return 1
         return math.lcm(2, *self.not_dividing)
 
-    @property
-    def allowed(self) -> frozenset:
-        """The residues k mod modulus that are allowed (0 standing for
-        k = modulus).  Every rule's divisor divides the modulus, so a sieve
-        over the residues decides them; it costs O(modulus), so ask only when
-        the modulus is small."""
+    def residues(self):
+        """The allowed residues k mod modulus in ascending order (0 standing
+        for k = modulus), read off a sieve over the residues: every rule's
+        divisor divides the modulus.  Costs O(modulus), so ask only when the
+        modulus is small."""
         m = self.modulus
         sieve = bytearray([1]) * m
         if self.even:
             sieve[1::2] = bytes(len(range(1, m, 2)))
         for d in self.not_dividing:
             sieve[::d] = bytes(len(range(0, m, d)))
-        return frozenset(itertools.compress(range(m), sieve))
+        return itertools.compress(range(m), sieve)
 
 
 def iso_pattern(inp: ComparisonInput) -> IsoPattern:

@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use: field elements in code order,
-a curve's trace and a group's order, exhaustive point listing, the ordinary
+a curve's trace and a group's order, a pattern's allowed residues as a set,
+factoring by trial division, exhaustive point listing, the ordinary
 check, the Legendre symbol, polynomial evaluation, the counts of every
 curve over F_p, the pairwise pattern table, the paper's two valuation
 lemmas (lifting the exponent, binomial valuation), arithmetic in Z[delta],
@@ -31,6 +32,28 @@ def trace(curve) -> int:
 def group_order(s) -> int:
     """|Z/n1 x Z/n2| of a GroupStructure."""
     return s.n1 * s.n2
+
+
+def allowed(pat) -> frozenset:
+    """The allowed residues of an IsoPattern as a set (0 standing for
+    k = modulus)."""
+    return frozenset(pat.residues())
+
+
+def trial_factor(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division by every d with
+    d^2 <= what is left; it takes about max(P2, sqrt(P1)) steps for the
+    largest prime factor P1 and the second largest P2."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def points(curve):

@@ -1,7 +1,9 @@
 import itertools
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -16,6 +18,7 @@ from isoclass.cli import (
     pattern_text,
 )
 from isoclass.isomorphy import ComparisonInput, IsoPattern, iso_pattern, pattern_eval
+from isoclass.quadorder import factorize, frobenius_from_trace
 
 from conftest import EXAMPLE1
 from helpers import render_pairwise_table
@@ -154,6 +157,61 @@ def test_pattern_command_large_prime(capsys):
     assert out["pattern"] == {"modulus": "1000000006", "allowed": None, "text": "500000003 ∤ k"}
 
 
+def _stdlib_json(stdout: str) -> str:
+    """The report in stdout as json.dumps(indent=2) writes it, with "allowed"
+    rebuilt from pattern_eval over k = 1..modulus."""
+    report = json.loads(stdout)
+    frob = frobenius_from_trace(int(report["frobenius"]["q"]), int(report["frobenius"]["t"]))
+    g, g2 = (int(c) for c in report["conductors"])
+    pat = iso_pattern(ComparisonInput(frob, g, g2))
+    m = pat.modulus
+    assert report["pattern"]["modulus"] == str(m)
+    if m <= cli.ALLOWED_LIMIT:
+        report["pattern"]["allowed"] = [str(r) for r in range(m) if pattern_eval(pat, r or m)]
+    return json.dumps(report, indent=2) + "\n"
+
+
+_JSON_CASES = {
+    "modulus 1": ["pattern", "--q", "3329", "--trace", "50", "--g", "26", "--g2", "26"],
+    "none": ["pattern", "--q", "3329", "--trace", "50", "--g", "1", "--g2", "52"],
+    "k odd": ["pattern", "--q", "3329", "--trace", "50", "--g", "1", "--g2", "13"],
+    "4 does not divide k": ["pattern", "--q", "3329", "--trace", "104", "--g", "1", "--g2", "25"],
+    "2 | k, half delta": ["pattern", "--q", "1031", "--trace", "-20", "--g", "7", "--g2", "14"],
+    "2 | k and 3 does not divide k": ["pattern", "--q", "1031", "--trace", "-20", "--g", "7", "--g2", "2"],
+    "modulus 999982": ["pattern", "--q", "999966001733", "--trace", "76", "--g", "999983", "--g2", "1"],
+    "modulus 1000000006": ["pattern", "--q", "24750000346500001213", "--trace", "1", "--g", "1000000007", "--g2", "1"],
+    "compare": ["compare", "3329:49,0", "3329:1,98", "--kmax", "6"],
+    "compare, half delta": ["compare", "1031:982,824", "1031:1,89", "--kmax", "6"],
+}
+
+
+def test_json_bytes_are_stdlib_json(capsys):
+    # the residue list is written apart from json.dumps; the bytes must not
+    # show it: fixed cases, then seeded raw data with random conductors
+    cases = dict(_JSON_CASES)
+    rng = random.Random(15)
+    prime_powers = [q for q in range(5, 3000, 2) if len(factorize(q)) == 1]
+    while len(cases) < len(_JSON_CASES) + 12:
+        q = rng.choice(prime_powers)
+        t = rng.randrange(-math.isqrt(4 * q - 1), math.isqrt(4 * q - 1) + 1)
+        if math.gcd(t, q) != 1:
+            continue
+        divs = [1]
+        for p, e in factorize(frobenius_from_trace(q, t).b).items():
+            divs = [d * p**i for d in divs for i in range(e + 1)]
+        g, g2 = rng.choice(divs), rng.choice(divs)
+        cases[len(cases)] = ["pattern", "--q", str(q), "--trace", str(t), "--g", str(g), "--g2", str(g2)]
+    allowed = {}
+    for name, argv in cases.items():
+        assert main(argv + ["--json"]) == 0, argv
+        out = capsys.readouterr().out
+        assert out == _stdlib_json(out), argv
+        allowed[name] = json.loads(out)["pattern"]["allowed"]
+    assert allowed["modulus 1"] == ["0"] and allowed["none"] == [] and allowed["k odd"] == ["1"]
+    assert len(allowed["modulus 999982"]) == 999980  # all but 0 and 499991
+    assert allowed["modulus 1000000006"] is None
+
+
 def test_oracle_command(capsys):
     assert main(["oracle", "5:1,1", "5:1,4", "--kmax", "4", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -269,6 +327,32 @@ def test_no_hang_on_large_q_or_conductor():
     assert "conductor bound 211" in run.stderr
 
 
+@pytest.mark.parametrize("q", [
+    "9562484866864319240088910673",
+    "24770841347895272818386910005770284577",
+], ids=["48-bit factors", "64-bit factors"])
+def test_pattern_factoring_budget_exits_5(q):
+    # 4q - 1 is the product of two large primes: rho gives up within its
+    # budget (seconds) instead of running for minutes
+    run = _run_module("pattern", "--q", q, "--trace", "1", "--g", "1", "--g2", "1", timeout=30)
+    assert run.returncode == 5, run.stderr
+    assert "Pollard rho" in run.stderr and "Traceback" not in run.stderr
+
+
+def test_cli_start_leaves_numpy_unloaded():
+    # only the oracle enumerates; importing the CLI and answering pattern
+    # must not pay for importing numpy
+    code = (
+        "import sys\n"
+        "from isoclass import cli\n"
+        "cli.main(['pattern', '--q', '3329', '--trace', '104', '--g', '1', '--g2', '25', '--json'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    run = _run_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def test_conductor_at_the_bound():
     # b = 211 = CONDUCTOR_BOUND (j = 1728): the largest prime power the
     # conductor test accepts answers well within the timeout
@@ -312,7 +396,7 @@ def test_oracle_huge_bound_exits_5(argv):
 def test_compare_kmax_ceiling(monkeypatch, capsys):
     # q = 3329 has 12 bits: kmax 1666 is the largest accepted; the gcd test
     # is stubbed, since only the ceiling is under test here
-    monkeypatch.setattr(cli, "gcd_criterion", lambda inp, k: True)
+    monkeypatch.setattr(cli, "gcd_table", lambda inp, kmax: [True] * kmax)
     assert KMAX_BITS_LIMIT == 20000
     assert main(["compare", "3329:49,0", "3329:1,98", "--kmax", "1666", "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["per_k"]) == 1666

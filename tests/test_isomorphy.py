@@ -12,6 +12,7 @@ from isoclass.isomorphy import (
     ComparisonInput,
     IsoPattern,
     gcd_criterion,
+    gcd_table,
     iso_pattern,
     nasty_reduce,
     pattern_eval,
@@ -23,7 +24,7 @@ from isoclass.field import is_prime
 from isoclass.quadorder import factorize, frobenius_from_trace, vp
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
-from helpers import group_order, zd_norm, zd_pow, zd_trace
+from helpers import allowed, group_order, zd_norm, zd_pow, zd_trace
 
 
 def test_comparison_input_validation():
@@ -43,6 +44,9 @@ def test_gcd_criterion_direct():
     inp = ComparisonInput(frob, 1, 13)
     assert gcd_criterion(inp, 1)       # gcd(24,52)=4 = gcd(24,4)
     assert not gcd_criterion(inp, 2)
+    # the table steps tau^k once per k
+    assert gcd_table(inp, 29) == [gcd_criterion(inp, k) for k in range(1, 30)]
+    assert gcd_table(inp, 0) == []
 
 
 def test_prime_set_example1():
@@ -151,7 +155,7 @@ def test_iso_pattern_canonical_equality():
     for pat, kset in zip(forms, ksets):
         m = pat.modulus
         assert 840 % m == 0
-        assert pat.allowed == frozenset(k % m for k in range(1, m + 1) if kset[k - 1])
+        assert allowed(pat) == frozenset(k % m for k in range(1, m + 1) if kset[k - 1])
 
 
 def _allowed_by_eval(pat):
@@ -168,15 +172,15 @@ def test_allowed_sieve_matches_pattern_eval():
         for ds in itertools.combinations(range(1, 9), size)
     }
     for pat in forms:
-        assert pat.allowed == _allowed_by_eval(pat), pat
+        assert allowed(pat) == _allowed_by_eval(pat), pat
     for even in (False, True):
         pat = IsoPattern(even, (4, 3, 7, 29, 41))
         assert pat.modulus == 99876
-        allowed = pat.allowed
-        assert allowed == _allowed_by_eval(pat)
-        assert (0 in allowed) == pattern_eval(pat, 99876)
+        res = allowed(pat)
+        assert res == _allowed_by_eval(pat)
+        assert (0 in res) == pattern_eval(pat, 99876)
         # by CRT: k mod 4 in {1, 2, 3} ({2} when even), times 2 * 6 * 28 * 40
-        assert len(allowed) == (1 if even else 3) * 2 * 6 * 28 * 40
+        assert len(res) == (1 if even else 3) * 2 * 6 * 28 * 40
 
 
 def test_iso_pattern_example1():
@@ -186,19 +190,19 @@ def test_iso_pattern_example1():
     for i, j in itertools.combinations(range(6), 2):
         pat = iso_pattern(ComparisonInput(frob, gs[i], gs[j]))
         if (i, j) in odd_pairs:
-            assert pat.modulus == 2 and pat.allowed == frozenset({1})
+            assert pat.modulus == 2 and allowed(pat) == frozenset({1})
         else:
-            assert pat.allowed == frozenset()
+            assert allowed(pat) == frozenset()
 
 
 def test_iso_pattern_example2():
     frob = EXAMPLE2.frob
     pat = iso_pattern(ComparisonInput(frob, 1, 25))
-    assert pat.modulus == 4 and pat.allowed == frozenset({1, 2, 3})
+    assert pat.modulus == 4 and allowed(pat) == frozenset({1, 2, 3})
     pat = iso_pattern(ComparisonInput(frob, 25, 5))
-    assert pat.modulus == 4 and pat.allowed == frozenset({1, 2, 3})
+    assert pat.modulus == 4 and allowed(pat) == frozenset({1, 2, 3})
     pat = iso_pattern(ComparisonInput(frob, 1, 5))
-    assert pat.allowed == frozenset(range(pat.modulus))
+    assert allowed(pat) == frozenset(range(pat.modulus))
 
 
 def test_iso_pattern_example3():
@@ -211,9 +215,9 @@ def test_iso_pattern_example3():
         (1, 2): (2, {0}),
         (14, 2): (6, {1, 2, 4, 5}),
     }
-    for (g, g2), (mod, allowed) in want.items():
+    for (g, g2), (mod, res) in want.items():
         pat = iso_pattern(ComparisonInput(frob, g, g2))
-        assert (pat.modulus, pat.allowed) == (mod, frozenset(allowed)), (g, g2)
+        assert (pat.modulus, allowed(pat)) == (mod, frozenset(res)), (g, g2)
 
 
 def test_iso_pattern_symmetric():
@@ -226,7 +230,7 @@ def test_iso_pattern_symmetric():
 
 def test_iso_pattern_equal_conductors():
     pat = iso_pattern(ComparisonInput(EXAMPLE1.frob, 26, 26))
-    assert pat.modulus == 1 and pat.allowed == frozenset({0})
+    assert pat.modulus == 1 and allowed(pat) == frozenset({0})
     assert all(pattern_eval(pat, k) for k in range(1, 20))
 
 
@@ -305,6 +309,7 @@ def test_nasty_classes_randomized():
         pat = iso_pattern(inp)
         for k in range(1, 50):
             assert gcd_criterion(inp, k) == pattern_eval(pat, k), (q, t, g, g2, k)
+        assert gcd_table(inp, 49) == [pattern_eval(pat, k) for k in range(1, 50)], (q, t, g, g2)
         found += 1
 
 

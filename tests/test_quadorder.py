@@ -1,11 +1,14 @@
+import collections
 import math
 import random
 
 import pytest
 
+from isoclass import quadorder
 from isoclass.quadorder import (
     HALF,
     SQRT,
+    CapacityError,
     FrobeniusData,
     SupersingularError,
     delta_kind,
@@ -19,7 +22,7 @@ from isoclass.quadorder import (
 from isoclass.field import is_prime
 from isoclass.isomorphy import nasty_reduce
 
-from helpers import binom_valuation, lte, zd_mul, zd_norm, zd_pow, zd_trace
+from helpers import binom_valuation, lte, trial_factor, zd_mul, zd_norm, zd_pow, zd_trace
 
 
 def test_vp():
@@ -46,6 +49,55 @@ def test_factorize():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+def test_factorize_matches_trial_division():
+    # seeded p^2 and p^3 with p > 2^10, semiprimes with factors between 2^10
+    # and 2^30, Carmichael numbers, primes and 1; n is built from parts and
+    # the reference factors each part by trial division
+    rng = random.Random(14)
+
+    def prime(lo, hi):
+        while True:
+            p = rng.randrange(lo, hi)
+            if trial_factor(p) == {p: 1}:
+                return p
+
+    def chernick():
+        # (6k+1)(12k+1)(18k+1) with all three prime is a Carmichael number
+        while True:
+            k = rng.randrange(1, 10**5)
+            parts = [6 * k + 1, 12 * k + 1, 18 * k + 1]
+            if all(trial_factor(p) == {p: 1} for p in parts):
+                return parts
+
+    cases = [[], [561], [1105], [1729], [2465], [6601], [8911]]
+    for _ in range(6):
+        p = prime(2**10, 2**20)
+        cases += [[p, p], [p, p, p]]
+        cases.append([prime(2**10, 2**30), prime(2**10, 2**30)])
+        cases.append([prime(2**10, 2**17), prime(2**25, 2**30), rng.randrange(1, 2**10)])
+        cases.append(chernick())
+        cases.append([prime(2**20, 2**34)])
+    for parts in cases:
+        n = math.prod(parts)
+        want = collections.Counter()
+        for part in parts:
+            want.update(trial_factor(part))
+        assert factorize(n) == dict(want), parts
+
+
+def test_factorize_budget(monkeypatch):
+    # past the rho budget factorize, and mult_order through it, give up
+    # with CapacityError instead of running on
+    n = 1073741827 * 1073741831  # two primes near 2^30
+    assert factorize(n) == {1073741827: 1, 1073741831: 1}
+    monkeypatch.setattr(quadorder, "_RHO_BUDGET", 1 << 10)
+    with pytest.raises(CapacityError, match="Pollard rho"):
+        factorize(n)
+    with pytest.raises(CapacityError):
+        mult_order(2, n)
+    assert factorize(1031 * 1033) == {1031: 1, 1033: 1}
 
 
 def test_squarefree_decompose():
@@ -226,6 +278,7 @@ def test_frobenius_checks_reject_hand_built_tuples():
 def test_power_edges():
     f = frobenius_from_trace(3329, 50)
     assert f.power(0) == (1, 0)
+    assert list(f.powers(0)) == []
     with pytest.raises(ValueError):
         f.power(-1)
     with pytest.raises(ValueError):
@@ -234,7 +287,8 @@ def test_power_edges():
 
 def test_power_matches_zdelta_reference():
     # tau^k from tau^2 = t*tau - q against repeated squaring in Z[delta],
-    # for q from 5 to 10^18, both kinds of delta and k up to 300
+    # for q from 5 to 10^18, both kinds of delta and k up to 300; the
+    # stepped powers against power(k)
     rng = random.Random(13)
     kinds = {SQRT: 0, HALF: 0}
     squared = 0
@@ -253,6 +307,7 @@ def test_power_matches_zdelta_reference():
             ak, bk = f.power(k)
             assert (ak, bk) == zd_pow(tau, k, f.m), (q, t, k)
             assert f.point_count(k) == zd_norm((ak - 1, bk), f.m), (q, t, k)
+        assert list(f.powers(300)) == [f.power(k) for k in range(1, 301)], (q, t)
         if f.b % 2 == 0:
             red = nasty_reduce(f)
             sq = zd_mul(tau, tau, f.m)

@@ -32,8 +32,8 @@ from .quadorder import FrobeniusData, SupersingularError, frobenius_from_trace
 
 _SPEC_RE = re.compile(r"^(\d+):(-?\d+),(-?\d+)$")
 ALLOWED_LIMIT = 10**6  # largest modulus whose allowed residues a report lists
-# Largest oracle --bound.  The enumeration peaks near 30 MB + 80 bytes per
-# element of F_(q^k): 334 MB and 1.4 s at q^k = 1999^2.
+# Largest oracle --bound.  The enumeration peaks near 30 MB + 55 bytes per
+# element of F_(q^k): 240 MB and 1.5 s at q^k = 1999^2.
 BOUND_LIMIT = 4 * 10**6
 # Largest kmax * q.bit_length() that compare --kmax tabulates.  tau^k has
 # about k * q.bit_length() / 2 bits, so the gcd test's cost grows with both;

@@ -98,42 +98,18 @@ def division_polys(curve: Curve, ns: Iterable[int]) -> dict[int, Poly]:
     return psi
 
 
-def _scalar_maps(psi: dict[int, Poly], f: Poly, n: int, reducer: Reducer) -> tuple[Poly, Poly]:
-    """(X_num, X_den) with x([n](x, y)) = X_num/X_den in F_p[x]/(modulus),
-    the modulus being the reducer's; psi maps n-1 .. n+1 to psi~_(n-1) ..
-    psi~_(n+1) and f is x^3 + ax + b.
-    """
-    p = reducer.p
-    red = reducer.reduce
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return red([0, 1]), red([1])
-
-    pn = red(psi[n])
-    pn2 = red(poly_mul(pn, pn, p))
-    cross = red(poly_mul(red(psi[n - 1]), red(psi[n + 1]), p))
-    f4 = red(poly_scale(f, 4, p))
-    if n % 2 == 1:
-        # X = x - 4f psi_(n-1) psi_(n+1) / psi_n^2
-        den_x = pn2
-        num_x = poly_sub(red(poly_mul([0, 1], den_x, p)), red(poly_mul(f4, cross, p)), p)
-    else:
-        # X = x - psi_(n-1) psi_(n+1) / (4f psi_n^2)
-        den_x = red(poly_mul(f4, pn2, p))
-        num_x = poly_sub(red(poly_mul([0, 1], den_x, p)), cross, p)
-    return num_x, den_x
-
-
 def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     """Whether tau acts as the scalar a mod c on E[c] (c a prime power
     dividing b), i.e. whether the order of conductor b/c contains tau scaled
     accordingly.  Equivalent to g | b/c for the true conductor g.
 
     Runs in F_p[x]/(psi~_c), and for even c also in F_p[x]/(f), with
-    n = +-a mod c in [1, c/2], as the x-check X_num = X_den * x^q.  Every
-    denominator is a unit there, so the cross-multiplied check is exact.
-    The denominators are powers of psi~_n times, for even n, f.  Since
+    n = +-a mod c in [1, c/2], as the x-check x([n]P) = x^q.  With
+    x([n]P) = x - psi~_(n-1) psi~_(n+1) / psi~_n^2 times 4f for odd n and
+    over 4f for even n, it reads (x - x^q) psi~_n^2 (4f if n is even) =
+    psi~_(n-1) psi~_(n+1) (4f if n is odd); for n = 1, psi~_0 = 0 leaves
+    x^q = x.  Every denominator is a unit there, so the cross-multiplied
+    check is exact.  The denominators are psi~_n and, for even n, f.  Since
     gcd(a, b) = 1 (a common prime would divide the prime q), n is coprime
     to c, so E[n] meets E[c] only in O and psi~_n shares no root with
     psi~_c.  The roots of f are the 2-torsion, which lies in E[c] only for
@@ -172,14 +148,23 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     n = min(frob.a % c, -frob.a % c)
     psi = division_polys(curve, [c, n - 1, n, n + 1])
     f = poly_trim([curve.b, curve.a, 0, 1])
+    f4 = poly_scale(f, 4, q)
     # x-coordinates of E[c] minus O are the roots of psi~_c, and for even c
     # also of f (the 2-torsion); psi~_2 = 1 has none
     for modulus in [psi[c], f] if c % 2 == 0 else [psi[c]]:
         if poly_deg(modulus) < 1:
             continue
         reducer = Reducer(modulus, q)
-        num_x, den_x = _scalar_maps(psi, f, n, reducer)
-        if reducer.reduce(poly_mul(den_x, reducer.pow([0, 1], q), q)) != num_x:
+        red = reducer.reduce
+        pn = red(psi[n])
+        lhs = poly_sub([0, 1], reducer.pow([0, 1], q), q)
+        lhs = red(poly_mul(lhs, red(poly_mul(pn, pn, q)), q))
+        rhs = red(poly_mul(red(psi[n - 1]), red(psi[n + 1]), q))
+        if n % 2 == 0:
+            lhs = red(poly_mul(f4, lhs, q))
+        else:
+            rhs = red(poly_mul(f4, rhs, q))
+        if lhs != rhs:
             return False
     return True
 

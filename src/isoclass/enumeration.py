@@ -6,10 +6,10 @@ used to cross-check.
 
 The listing is vectorized with numpy.  Field elements are held in
 discrete-log form: a nonzero element is its log base a fixed generator
-(int32 in [0, q-2]) and zero is the sentinel BIG = 2(q-1).  Multiplication
-is log addition, negation adds log(-1), and addition goes through a Zech
-logarithm table zech[d] = log(1 + g^d), so the listing is flat index
-arithmetic plus a few gathers.  Its length gives N = |E(F)|.
+(in [0, q-2]) and zero is the log q - 1.  Multiplication is log addition,
+and addition goes through a Zech logarithm table zech[d] = log(1 + g^d),
+so the listing is flat index arithmetic plus a few gathers.  Its length
+gives N = |E(F)|.
 
 The structure then comes from a few listed points and plain Curve
 arithmetic.  For each l^e || N the rows, in order, are pushed into the
@@ -28,146 +28,99 @@ from .curve import Curve, GroupStructure
 from .quadorder import factorize, vp
 
 
-class _BulkField:
-    """Vectorized arithmetic for F_{p^k} on int32 discrete-log arrays."""
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.p = ctx.char
-        self.k = ctx.degree
-        self.q = ctx.size
-        p, k, q = self.p, self.k, self.q
-        if p <= 3:
-            raise ValueError("log-table enumeration needs characteristic > 3")
-        n = q - 1
-        self.n = n
-        self.BIG = 2 * n
-        self.half = n // 2  # log(-1); n is even since q is odd
-        self.radix = p ** np.arange(k, dtype=np.int64)
-
-        gen = self._find_generator()
-        digits = np.zeros((n, k), dtype=np.int64)
-        digits[0, 0] = 1
-        t = 1
-        while t < n:
-            m = min(t, n - t)
-            gt = ctx.pow(gen, t)
-            # row i of M holds the coefficients of x^i * g^t
-            codes = [ctx.encode(ctx.mul(ctx.decode(p**i), gt)) for i in range(k)]
-            M = np.array(codes, dtype=np.int64)[:, None] // self.radix % p
-            digits[t : t + m] = digits[:m] @ M % p
-            t += m
-        exp = digits @ self.radix
-        dlog = np.full(q, self.BIG, dtype=np.int32)
-        dlog[exp] = np.arange(n, dtype=np.int32)
-        if np.count_nonzero(dlog == self.BIG) != 1:
-            raise AssertionError("generator powers do not cover the field")
-        self.dlog = dlog
-        exp_pad = np.zeros(2 * n + 1, dtype=np.int64)
-        exp_pad[:n] = exp
-        exp_pad[n : 2 * n] = exp
-        self.exp_pad = exp_pad  # exp_pad[BIG] = 0, the code of zero
-
-        plus1 = digits.copy()
-        plus1[:, 0] = (plus1[:, 0] + 1) % p
-        self.zech = dlog[plus1 @ self.radix]
-
-        neg1 = ctx.encode(ctx.neg(ctx.one))
-        if int(dlog[neg1]) != self.half:
-            raise AssertionError("log(-1) mismatch")
-
-    def _find_generator(self):
-        ctx = self.ctx
-        fac = factorize(self.n)
-        # codes below p are constants of F_p^*, which cannot generate F_{p^k}^*
-        for code in range(2 if self.k == 1 else self.p, self.q):
-            elt = ctx.decode(code)
-            if all(ctx.pow(elt, self.n // l) != ctx.one for l in fac):
-                return elt
-        raise AssertionError("no generator found")
-
-    # -- arithmetic on log arrays ---------------------------------------
-
-    def elem_log(self, elt) -> int:
-        return int(self.dlog[self.ctx.encode(elt)])
-
-    def lscale(self, a, s: int):
-        """Multiply by a fixed nonzero element given as its log."""
-        out = (a + np.int32(s)) % self.n
-        out[a == self.BIG] = self.BIG
-        return out
-
-    def lneg(self, a):
-        out = (a + self.half) % self.n
-        out[a == self.BIG] = self.BIG
-        return out
-
-    def ladd(self, a, b):
-        d = (b - a) % self.n
-        z = self.zech[d]
-        out = (a + z) % self.n
-        out[z == self.BIG] = self.BIG  # b = -a
-        mb = b == self.BIG
-        out[mb] = a[mb]
-        ma = a == self.BIG
-        out[ma] = b[ma]
-        return out
+def _find_generator(ctx):
+    """The generator of F^* with the smallest code."""
+    n = ctx.size - 1
+    fac = factorize(n)
+    # codes below p are constants of F_p^*, which cannot generate F_{p^k}^*
+    for code in range(2 if ctx.degree == 1 else ctx.char, ctx.size):
+        elt = ctx.decode(code)
+        if all(ctx.pow(elt, n // l) != ctx.one for l in fac):
+            return elt
+    raise AssertionError("no generator found")
 
 
 @lru_cache(maxsize=4)
-def _tables(ctx):
-    """Shared per-field data: bulk log context and the square-root table
-    (indexed by log, -1 for nonsquares, BIG maps to BIG)."""
-    bulk = _BulkField(ctx)
-    n = bulk.n
-    root = np.full(2 * n + 1, -1, dtype=np.int32)
+def _field_logs(ctx):
+    """(exp, dlog, zech, root) for F = ctx on logs base _find_generator(ctx),
+    n = q - 1 standing for zero: exp[l] is the code of g^l (exp[n] = 0) and
+    dlog its inverse, zech[d] = log(1 + g^d), and root[l] is the log of a
+    square root of g^l, -1 for nonsquares and for zero (root[n], since
+    y = 0 is listed apart from the +-y pairs)."""
+    p, k, q = ctx.char, ctx.degree, ctx.size
+    if p <= 3:
+        raise ValueError("log-table enumeration needs characteristic > 3")
+    n = q - 1
+    radix = p ** np.arange(k, dtype=np.int64)
+
+    gen = _find_generator(ctx)
+    digits = np.zeros((n, k), dtype=np.int64)
+    digits[0, 0] = 1
+    t = 1
+    while t < n:
+        m = min(t, n - t)
+        gt = ctx.pow(gen, t)
+        # row i of M holds the coefficients of x^i * g^t
+        codes = [ctx.encode(ctx.mul(ctx.decode(p**i), gt)) for i in range(k)]
+        M = np.array(codes, dtype=np.int64)[:, None] // radix % p
+        digits[t : t + m] = digits[:m] @ M % p
+        t += m
+    exp = np.zeros(n + 1, dtype=np.int64)
+    np.matmul(digits, radix, out=exp[:n])
+    dlog = np.full(q, -1, dtype=np.int32)
+    dlog[exp] = np.arange(n + 1, dtype=np.int32)
+    if np.any(dlog < 0):
+        raise AssertionError("generator powers do not cover the field")
+    digits[:, 0] += 1  # row l now holds the coefficients of 1 + g^l
+    digits[:, 0] %= p
+    zech = dlog[digits @ radix]
+    if int(dlog[ctx.encode(ctx.neg(ctx.one))]) != n // 2:
+        raise AssertionError("log(-1) mismatch")
+
+    root = np.full(n + 1, -1, dtype=np.int32)
     ll = np.arange(n, dtype=np.int32)
-    root[(2 * ll) % n] = ll
-    root[bulk.BIG] = bulk.BIG
-    return bulk, root
-
-
-def _enumerate_points(curve: Curve):
-    """Log arrays (X, Y) of every affine point, one row per point: the y = 0
-    points, then one point of each +-y pair, then their negations."""
-    bulk, root = _tables(curve.ctx)
-    n = bulk.n
-    lx = np.empty(bulk.q, dtype=np.int32)
-    lx[0] = bulk.BIG
-    lx[1:] = np.arange(n, dtype=np.int32)
-    la = bulk.elem_log(curve.a) if _nonzero(curve.ctx, curve.a) else bulk.BIG
-    lb = bulk.elem_log(curve.b) if _nonzero(curve.ctx, curve.b) else bulk.BIG
-    x3 = (3 * lx.astype(np.int64) % n).astype(np.int32)
-    x3[lx == bulk.BIG] = bulk.BIG
-    ax = bulk.lscale(lx, la) if la != bulk.BIG else np.full(bulk.q, bulk.BIG, np.int32)
-    rhs = bulk.ladd(x3, ax)
-    rhs = bulk.ladd(rhs, np.full(bulk.q, lb, dtype=np.int32))
-    on_axis = rhs == bulk.BIG
-    r = root[rhs]
-    two = (r >= 0) & ~on_axis
-    x0 = lx[on_axis]
-    x1 = lx[two]
-    y1 = r[two]
-    X = np.concatenate([x0, x1, x1])
-    Y = np.concatenate([np.full(x0.size, bulk.BIG, np.int32), y1, bulk.lneg(y1)])
-    return bulk, X, Y
-
-
-def _nonzero(ctx, elt) -> bool:
-    return elt != ctx.zero
+    root[2 * ll % n] = ll
+    return exp, dlog, zech, root
 
 
 def _listed_points(curve: Curve):
     """N = |E(F)| and a function that yields the affine points, decoded one
-    at a time in row order."""
-    bulk, X, Y = _enumerate_points(curve)
+    at a time in row order: the y = 0 points, then one point of each +-y
+    pair, then their negations."""
     ctx = curve.ctx
+    exp, dlog, zech, root = _field_logs(ctx)
+    n = exp.size - 1
+
+    def add(u, v):
+        # log(g^u + g^v) = u + zech[v - u]; zero (n) is the identity
+        z = zech[(v - u) % n]
+        s = np.where(z == n, n, (u + z) % n)
+        return np.where(u == n, v, np.where(v == n, u, s))
+
+    x = np.arange(-1, n, dtype=np.int32)
+    x[0] = n  # x = 0 first, then g^0, g^1, ...
+    la, lb = (int(dlog[ctx.encode(c)]) for c in (curve.a, curve.b))
+    nonzero = x < n
+    x3 = np.where(nonzero, 3 * x % n, n)
+    ax = np.where(nonzero & (la < n), (x + la) % n, n)
+    rhs = add(add(x3, ax), lb)
+    r = root[rhs]
+    x0 = x[rhs == n]
+    two = r >= 0
+    x1, y1 = x[two], r[two]
 
     def rows():
-        for x, y in zip(X, Y):
-            yield ctx.decode(int(bulk.exp_pad[x])), ctx.decode(int(bulk.exp_pad[y]))
+        def elt(l):
+            return ctx.decode(int(exp[l]))
 
-    return 1 + X.size, rows
+        for lx in x0:
+            yield elt(lx), ctx.zero
+        for lx, ly in zip(x1, y1):
+            yield elt(lx), elt(ly)
+        for lx, ly in zip(x1, y1):
+            yield elt(lx), ctx.neg(elt(ly))
+
+    return 1 + x0.size + 2 * x1.size, rows
 
 
 def _log_order(curve: Curve, l: int, T) -> int:

@@ -393,6 +393,29 @@ def test_oracle_huge_bound_exits_5(argv):
     assert "enumeration ceiling" in run.stderr
 
 
+# runs the CLI as a child of a fresh interpreter and prints the child's peak
+# RSS (ru_maxrss, KiB on Linux) as the last line of stderr
+_CHILD_PEAK_RSS = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.run([sys.executable, '-m', 'isoclass', *sys.argv[1:]]).returncode\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
+def test_oracle_memory_at_the_ceiling():
+    # q^k = 1999^2 is the largest field under the 4e6 ceiling: both curves
+    # are listed there within 300 MB
+    argv = ["oracle", "1999:1,1", "1999:1,1", "--kmax", "2", "--bound", str(BOUND_LIMIT), "--json"]
+    run = _run_python("-c", _CHILD_PEAK_RSS, *argv, timeout=60)
+    assert run.returncode == 0, run.stderr
+    rows = json.loads(run.stdout)["oracle"]
+    assert len(rows) == 2 and all(row["agree"] is True for row in rows)
+    peak_kib = int(run.stderr.splitlines()[-1])
+    assert peak_kib < 300 * 1024, peak_kib
+
+
 def test_compare_kmax_ceiling(monkeypatch, capsys):
     # q = 3329 has 12 bits: kmax 1666 is the largest accepted; the gcd test
     # is stubbed, since only the ceiling is under test here

@@ -11,9 +11,9 @@ from isoclass.curve import (
     _count_sweep,
 )
 from isoclass.enumeration import (
+    _find_generator,
     _listed_points,
     _sylow_basis,
-    _tables,
     group_structure,
 )
 from isoclass.field import ExtField, PrimeField, is_prime, sqrt_mod
@@ -256,7 +256,8 @@ def _naive_structure(e):
     return N // n2, n2
 
 
-@pytest.mark.parametrize("p, k, a, b", [(13, 1, 1, 1), (7, 2, 3, 0)])
+# a generic curve, b = 0 (j = 1728), and a = 0 (j = 0) over F_13 and F_49
+@pytest.mark.parametrize("p, k, a, b", [(13, 1, 1, 1), (7, 2, 3, 0), (13, 1, 0, 2), (7, 2, 0, 3)])
 def test_sylow_basis_matches_scalar_mul(p, k, a, b):
     ctx = _ctx(p, k)
     e = Curve(PrimeField(p), a, b)
@@ -264,9 +265,11 @@ def test_sylow_basis_matches_scalar_mul(p, k, a, b):
     N, rows = _listed_points(e)
     listed = list(rows())
     assert sorted(listed) == sorted(points(e)) and N == 1 + len(listed)
-    # x = 0 and y = 0 rows both occur
-    assert any(x == ctx.zero for x, _ in listed)
-    assert any(y == ctx.zero for _, y in listed)
+    # x = 0 and y = 0 rows both occur in the first two cases; with a = 0,
+    # y^2 = 2 and x^3 = -2 have no root in F_13, nor x^3 = -3 in F_49
+    if a:
+        assert any(x == ctx.zero for x, _ in listed)
+        assert any(y == ctx.zero for _, y in listed)
     for l in (2, 3):
         v = vp(N, l)
         sylow = {pt for pt in [None] + listed if e.scalar_mul(l**v, pt) is None}
@@ -318,7 +321,7 @@ def test_generator_search_starts_at_p():
             for code in range(2, ctx.size)
             if all(ctx.pow(ctx.decode(code), n // l) != ctx.one for l in primes)
         )
-        gen = _tables(ctx)[0]._find_generator()
+        gen = _find_generator(ctx)
         assert gen == first
         x, order = gen, 1
         while x != ctx.one:

@@ -5,7 +5,6 @@ import pytest
 from isoclass import endoring
 from isoclass.curve import CONDUCTOR_BOUND, CapacityError, Curve
 from isoclass.endoring import (
-    _scalar_maps,
     conductor,
     conductor_bruteforce,
     division_polys,
@@ -94,9 +93,9 @@ def test_division_poly_coprime_to_two_torsion():
 
 
 def test_scalar_maps_match_scalar_mul():
-    # evaluate the rational maps at sample points: reducing modulo x - x0
-    # leaves each numerator and denominator as its value at x0; the y map
-    # is checked on the two-coordinate reference
+    # evaluate the rational maps of the two-coordinate reference at sample
+    # points: reducing modulo x - x0 leaves each numerator and denominator
+    # as its value at x0
     e = Curve(PrimeField(101), 3, 8)
     p = 101
     psi = division_polys(e, range(14))
@@ -109,8 +108,7 @@ def test_scalar_maps_match_scalar_mul():
             if want is None:
                 continue
             red = Reducer([(-x0) % p, 1], p)
-            num_x, den_x = _scalar_maps(psi, f, n, red)
-            _, (num_y, den_y) = scalar_maps_xy(psi, f, n, red)
+            (num_x, den_x), (num_y, den_y) = scalar_maps_xy(psi, f, n, red)
             dx, dy = poly_eval(den_x, x0, p), poly_eval(den_y, x0, p)
             if dx == 0 or dy == 0:
                 continue  # point near the kernel
@@ -121,9 +119,9 @@ def test_scalar_maps_match_scalar_mul():
 
 
 def test_scalar_map_denominators_are_units():
-    # n = +-a mod c is coprime to c, so the denominator (a power of psi~_n,
-    # times f for even n) shares no root with psi~_c, nor with f for even c:
-    # the cross-multiplied action test never needs to split its modulus
+    # n = +-a mod c is coprime to c, so the denominators psi~_n and, for
+    # even n, f share no root with psi~_c, nor with f for even c: the
+    # cross-multiplied action test never needs to split its modulus
     rng = random.Random(7)
     seen = set()
     for q in (101, 389, 1009, 2909, 3329):
@@ -147,8 +145,9 @@ def test_scalar_map_denominators_are_units():
                     for m in moduli:
                         if len(m) < 2:
                             continue
-                        _, den_x = _scalar_maps(psi, f, n, Reducer(m, q))
-                        assert poly_gcd(den_x, m, q) == [1], (q, a, b, c)
+                        assert poly_gcd(psi[n], m, q) == [1], (q, a, b, c)
+                        if n % 2 == 0:
+                            assert poly_gcd(f, m, q) == [1], (q, a, b, c)
                     seen.add((c % 2, n % 2, n > 1))
     # odd c with even and odd n > 1; powers of 2 with odd n > 1
     assert {(1, 0, True), (1, 1, True), (0, 1, True)} <= seen, seen

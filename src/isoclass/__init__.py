@@ -12,7 +12,7 @@ for small fields.
 from .curve import (
     CONDUCTOR_BOUND,
     COUNT_BOUND,
-    DEFAULT_BOUND,
+    ENUM_BOUND,
     CapacityError,
     Curve,
     GroupStructure,
@@ -57,7 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CONDUCTOR_BOUND",
     "COUNT_BOUND",
-    "DEFAULT_BOUND",
+    "ENUM_BOUND",
     "CapacityError",
     "ComparisonInput",
     "Curve",

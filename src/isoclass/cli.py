@@ -6,8 +6,8 @@ comparison against the brute-force enumeration oracle.
 
 Exit codes: 0 ok, 2 invalid input, 3 supersingular curve, 4 point-count
 mismatch, 5 capacity exceeded (a bound of the point count, the conductor,
-the enumeration, the factoring budget, or the two ceilings below).  JSON
-reports render every big integer as a decimal string.
+the enumeration, the factoring budget, or the compare --kmax ceiling
+below).  JSON reports render every big integer as a decimal string.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import re
 import sys
 
-from .curve import DEFAULT_BOUND, CapacityError, Curve
+from .curve import ENUM_BOUND, CapacityError, Curve
 from .endoring import conductor
 from .field import ExtField, PrimeField
 from .isomorphy import (
@@ -32,9 +32,6 @@ from .quadorder import FrobeniusData, SupersingularError, frobenius_from_trace
 
 _SPEC_RE = re.compile(r"^(\d+):(-?\d+),(-?\d+)$")
 ALLOWED_LIMIT = 10**6  # largest modulus whose allowed residues a report lists
-# Largest oracle --bound.  The enumeration peaks near 30 MB + 55 bytes per
-# element of F_(q^k): 240 MB and 1.5 s at q^k = 1999^2.
-BOUND_LIMIT = 4 * 10**6
 # Largest kmax * q.bit_length() that compare --kmax tabulates.  tau^k has
 # about k * q.bit_length() / 2 bits, so the gcd test's cost grows with both;
 # at the limit it answers in about 1.2 s (q = 7, kmax 6666; 1.3 s at q near
@@ -234,15 +231,14 @@ def cmd_pattern(args) -> tuple[dict, str]:
 def cmd_oracle(args) -> tuple[dict, str]:
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
-    if args.bound > BOUND_LIMIT:
-        raise CapacityError(f"--bound {args.bound} exceeds the enumeration ceiling {BOUND_LIMIT}")
     ea, eb, count, frob, inp = _comparison_setup(args.curve_a, args.curve_b)
     pattern = iso_pattern(inp)
-    bound = args.bound
     q = frob.q
-    # q >= 2, so q^k > bound once k >= bound.bit_length(): no huge power
-    if args.kmax >= bound.bit_length() or q**args.kmax > bound:
-        raise CapacityError(f"field size {q}^{args.kmax} exceeds enumeration bound {bound}")
+    # q >= 2, so q^k > ENUM_BOUND once k >= ENUM_BOUND.bit_length(): no huge power
+    if args.kmax >= ENUM_BOUND.bit_length() or q**args.kmax > ENUM_BOUND:
+        raise CapacityError(f"field size {q}^{args.kmax} exceeds the enumeration ceiling {ENUM_BOUND}")
+    from . import enumeration  # numpy loads only for the oracle
+
     report, lines = _comparison_report(args, inp, count, pattern)
     rows = []
     base = ea.ctx
@@ -251,8 +247,8 @@ def cmd_oracle(args) -> tuple[dict, str]:
         ctx = base if k == 1 else ExtField(base, k)
         ca = ea if k == 1 else ea.lift(ctx)
         cb = eb if k == 1 else eb.lift(ctx)
-        sa = ca.group_structure_bruteforce(bound)
-        sb = cb.group_structure_bruteforce(bound)
+        sa = enumeration.group_structure(ca)
+        sb = enumeration.group_structure(cb)
         iso = sa == sb
         predicted = pattern_eval(pattern, k)
         agree = iso == predicted
@@ -336,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curve_a", help="curve spec <q>:<A>,<B>")
     p.add_argument("curve_b", help="curve spec <q>:<A>,<B>")
     p.add_argument("--kmax", type=int, required=True, help="check k = 1..kmax")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND, help="enumeration bound")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
     return parser

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .curve import CONDUCTOR_BOUND, DEFAULT_BOUND, CapacityError, Curve
+from .curve import CONDUCTOR_BOUND, ENUM_BOUND, CapacityError, Curve
 from .field import (
     ExtField,
     PrimeField,
@@ -184,13 +184,12 @@ def conductor(curve: Curve, frob: FrobeniusData) -> int:
     return g
 
 
-def _full_torsion_action(
-    curve: Curve, frob: FrobeniusData, lp: int, jmax: int, bound: int
-) -> list[bool]:
+def _full_torsion_action(curve: Curve, frob: FrobeniusData, lp: int, jmax: int) -> list[bool]:
     """Pointwise oracle for c = lp^j, j = 1..jmax, in one walk up the
     extensions: each j is decided in the smallest extension F containing all
     of E[c].  By the Weil pairing E[c] fits in F_{q^m} only if c | q^m - 1,
-    so other m are skipped unlisted.
+    so other m are skipped unlisted.  The walk stops with CapacityError
+    once q^m passes ENUM_BOUND.
 
     Let S = <P> (+) <Q> be the lp-Sylow basis over F, ord P = lp^ea >=
     ord Q = lp^eb.  E[lp^j](F) = S[lp^j] has lp^(min(ea,j) + min(eb,j))
@@ -208,9 +207,9 @@ def _full_torsion_action(
         m += 1
         size *= q
         c = lp ** (len(passes) + 1)
-        if size > bound:
+        if size > ENUM_BOUND:
             raise CapacityError(
-                f"E[{c}] does not appear within the enumeration bound {bound}"
+                f"E[{c}] does not appear within the enumeration ceiling {ENUM_BOUND}"
             )
         if (size - 1) % c:
             continue
@@ -230,20 +229,18 @@ def _full_torsion_action(
     return passes
 
 
-def conductor_bruteforce(
-    curve: Curve, frob: FrobeniusData, bound: int = DEFAULT_BOUND
-) -> int:
+def conductor_bruteforce(curve: Curve, frob: FrobeniusData) -> int:
     """Conductor computed from explicit torsion points in extension fields.
 
     Independent of the division-polynomial route; meant as its oracle on
-    small inputs.  Raises CapacityError when a needed torsion field exceeds
-    the enumeration bound.
+    small inputs.  Raises CapacityError when a needed torsion field has
+    more than ENUM_BOUND elements.
     """
     if curve.count_points() != frob.q + 1 - frob.t:
         raise ValueError("curve's point count does not match the Frobenius data")
     g = 1
     for p, vb in sorted(factorize(frob.b).items()):
-        passes = _full_torsion_action(curve, frob, p, vb, bound)
+        passes = _full_torsion_action(curve, frob, p, vb)
         i = 0
         while i < vb and passes[i]:
             i += 1

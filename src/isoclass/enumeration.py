@@ -2,7 +2,9 @@
 
 Group structures and torsion subgroups of E(F_{p^k}) are read off the list
 of every point, with no input from the Frobenius-based predictions they are
-used to cross-check.
+used to cross-check.  Fields larger than ENUM_BOUND (curve.py) are refused
+with CapacityError before any table is built; `isoclass oracle` and
+endoring.conductor_bruteforce check the same ceiling before listing.
 
 The listing is vectorized with numpy.  Field elements are held in
 discrete-log form: a nonzero element is its log base a fixed generator
@@ -24,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import Curve, GroupStructure
-from .quadorder import factorize, vp
+from .curve import ENUM_BOUND, Curve, GroupStructure
+from .quadorder import CapacityError, factorize, vp
 
 
 def _find_generator(ctx):
@@ -86,8 +88,10 @@ def _field_logs(ctx):
 def _listed_points(curve: Curve):
     """N = |E(F)| and a function that yields the affine points, decoded one
     at a time in row order: the y = 0 points, then one point of each +-y
-    pair, then their negations."""
+    pair, then their negations.  Raises CapacityError for |F| > ENUM_BOUND."""
     ctx = curve.ctx
+    if ctx.size > ENUM_BOUND:
+        raise CapacityError(f"field size {ctx.size} exceeds the enumeration ceiling {ENUM_BOUND}")
     exp, dlog, zech, root = _field_logs(ctx)
     n = exp.size - 1
 

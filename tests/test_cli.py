@@ -9,9 +9,8 @@ import sys
 
 import pytest
 
-from isoclass import cli, curve
+from isoclass import cli, curve, enumeration
 from isoclass.cli import (
-    BOUND_LIMIT,
     KMAX_BITS_LIMIT,
     main,
     parse_curve_spec,
@@ -363,12 +362,28 @@ def test_conductor_at_the_bound():
     assert report["conductors"] == ["1"]
 
 
-def test_oracle_bound_ceiling(capsys):
-    # the ceiling is inclusive
-    assert BOUND_LIMIT == 4 * 10**6
-    assert main(["oracle", "5:1,1", "5:1,4", "--kmax", "4", "--bound", str(BOUND_LIMIT)]) == 0
-    assert main(["oracle", "5:1,1", "5:1,4", "--kmax", "4", "--bound", str(BOUND_LIMIT + 1)]) == 5
+def test_oracle_bound_ceiling(monkeypatch, capsys):
+    # the ceiling on q^kmax is inclusive: 1999^2 = 3996001 is listed and
+    # 2003^2 = 4012009 is refused before any listing; the enumeration is
+    # stubbed, since only the ceiling is under test here (the real listing
+    # at 1999^2 is test_oracle_memory_at_the_ceiling)
+    listed = []
+
+    def fake_group_structure(e):
+        listed.append(e.ctx.size)
+        return curve.GroupStructure(1, 1)
+
+    monkeypatch.setattr(enumeration, "group_structure", fake_group_structure)
+    assert curve.ENUM_BOUND == 4 * 10**6
+    assert main(["oracle", "1999:1,1", "1999:1,1", "--kmax", "2"]) == 0
+    assert listed == [1999, 1999, 1999**2, 1999**2]
+    capsys.readouterr()
+    assert main(["oracle", "2003:1,1", "2003:1,1", "--kmax", "2"]) == 5
     assert "enumeration ceiling" in capsys.readouterr().err
+    assert listed == [1999, 1999, 1999**2, 1999**2]
+    # the ceiling is no longer an option
+    assert main(["oracle", "5:1,1", "5:1,4", "--kmax", "4", "--bound", "10"]) == 2
+    capsys.readouterr()
 
 
 # runs the CLI with the enumeration replaced by a failure, so a missing
@@ -384,9 +399,10 @@ _NO_ENUMERATION = (
 
 
 @pytest.mark.parametrize("argv", [
-    ["oracle", "1009:1,1", "1009:1,1", "--kmax", "3", "--bound", "10000000000"],
-    ["oracle", "1000003:1,1", "1000003:1,1", "--kmax", "2", "--bound", "10000000000000"],
-], ids=["1009^3", "1000003^2"])
+    ["oracle", "1009:1,1", "1009:1,1", "--kmax", "3"],
+    ["oracle", "2003:1,1", "2003:1,1", "--kmax", "2"],
+    ["oracle", "1000003:1,1", "1000003:1,1", "--kmax", "2"],
+], ids=["1009^3", "2003^2", "1000003^2"])
 def test_oracle_huge_bound_exits_5(argv):
     run = _run_python("-c", _NO_ENUMERATION, *argv, timeout=30)
     assert run.returncode == 5, run.stderr
@@ -407,7 +423,7 @@ _CHILD_PEAK_RSS = (
 def test_oracle_memory_at_the_ceiling():
     # q^k = 1999^2 is the largest field under the 4e6 ceiling: both curves
     # are listed there within 300 MB
-    argv = ["oracle", "1999:1,1", "1999:1,1", "--kmax", "2", "--bound", str(BOUND_LIMIT), "--json"]
+    argv = ["oracle", "1999:1,1", "1999:1,1", "--kmax", "2", "--json"]
     run = _run_python("-c", _CHILD_PEAK_RSS, *argv, timeout=60)
     assert run.returncode == 0, run.stderr
     rows = json.loads(run.stdout)["oracle"]

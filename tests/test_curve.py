@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from isoclass import enumeration
 from isoclass.curve import (
     SWEEP_BOUND,
     CapacityError,
@@ -15,6 +16,7 @@ from isoclass.enumeration import (
     _listed_points,
     _sylow_basis,
     group_structure,
+    sylow_basis,
 )
 from isoclass.field import ExtField, PrimeField, is_prime, sqrt_mod
 from isoclass.quadorder import frobenius_from_trace, vp
@@ -188,8 +190,8 @@ def test_trace_and_ordinary():
 
 
 def test_group_structure_known():
-    assert Curve(PrimeField(3329), 49, 0).group_structure_bruteforce() == GroupStructure(4, 820)
-    assert Curve(PrimeField(5), 1, 1).group_structure_bruteforce() == GroupStructure(1, 9)
+    assert group_structure(Curve(PrimeField(3329), 49, 0)) == GroupStructure(4, 820)
+    assert group_structure(Curve(PrimeField(5), 1, 1)) == GroupStructure(1, 9)
 
 
 def test_group_structure_invariants_scan():
@@ -200,7 +202,7 @@ def test_group_structure_invariants_scan():
                 if (4 * a**3 + 27 * b**2) % p == 0:
                     continue
                 e = Curve(f, a, b)
-                s = e.group_structure_bruteforce()
+                s = group_structure(e)
                 assert group_order(s) == e.count_points()
                 assert s.n2 % s.n1 == 0
                 assert (p - 1) % s.n1 == 0  # n1 | q - 1 by the Weil pairing
@@ -211,7 +213,7 @@ def test_group_structure_extension_field():
     e = Curve(base, 1, 1)
     f2 = ExtField(base, 2)
     lifted = e.lift(f2)
-    s = lifted.group_structure_bruteforce()
+    s = group_structure(lifted)
     assert s == GroupStructure(3, 9)
     assert group_order(s) == 27
     # exponent check: n2 kills every point
@@ -224,7 +226,7 @@ def test_structure_matches_exhaustive_exponent():
     # n1*n2 decomposition implies number of l-torsion points is correct
     base = PrimeField(13)
     e = Curve(base, 2, 3)
-    s = e.group_structure_bruteforce()
+    s = group_structure(e)
     for l in (2, 3, 5, 7):
         tor = sum(1 for pt in points(e) if e.scalar_mul(l, pt) is None) + 1
         from isoclass.quadorder import vp
@@ -329,10 +331,21 @@ def test_generator_search_starts_at_p():
         assert order == n
 
 
-def test_capacity_error():
+def test_capacity_error(monkeypatch):
+    # fields above the ceiling are refused before any table is built, for
+    # the structure and for a Sylow basis alike; q = 97 is still listed
+    def no_tables(ctx):
+        raise AssertionError("tables built past ENUM_BOUND")
+
+    monkeypatch.setattr(enumeration, "ENUM_BOUND", 100)
+    e = Curve(PrimeField(97), 1, 1)
+    assert group_order(group_structure(e)) == e.count_points()
+    monkeypatch.setattr(enumeration, "_field_logs", no_tables)
     e = Curve(PrimeField(3329), 49, 0)
     with pytest.raises(CapacityError):
-        e.group_structure_bruteforce(bound=100)
+        group_structure(e)
+    with pytest.raises(CapacityError):
+        sylow_basis(e, 2)
 
 
 def test_count_points_rejects_extension():
@@ -359,4 +372,4 @@ def test_predicted_vs_enumerated_structures():
                 break
             ctx = PrimeField(q) if k == 1 else ExtField(PrimeField(q), k)
             ek = e if k == 1 else e.lift(ctx)
-            assert ek.group_structure_bruteforce(bound=10**5 + 1) == predicted_group_structure(frob, g, k)
+            assert group_structure(ek) == predicted_group_structure(frob, g, k)

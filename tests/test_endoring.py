@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from isoclass import endoring
+from isoclass import endoring, enumeration
 from isoclass.curve import CONDUCTOR_BOUND, CapacityError, Curve
 from isoclass.endoring import (
     conductor,
@@ -240,15 +240,15 @@ def test_conductor_bruteforce_small_scan():
                 if rng.random() < 0.6:
                     continue
                 g = conductor(e, frob)
-                gb = conductor_bruteforce(e, frob, bound=4 * 10**6)
+                gb = conductor_bruteforce(e, frob)
                 assert g == gb, (p, a, b)
                 checked += 1
     assert checked >= 10
 
 
-def test_conductor_bruteforce_needs_exactly_the_torsion_field():
+def test_conductor_bruteforce_needs_exactly_the_torsion_field(monkeypatch):
     # the walk skips only fields that cannot hold E[c]: it succeeds with the
-    # bound at the smallest F_{q^m} whose group has c | n1 for every c = l^v
+    # ceiling at the smallest F_{q^m} whose group has c | n1 for every c = l^v
     # exactly dividing b, and raises one below it
     rng = random.Random(3)
     checked = 0
@@ -269,24 +269,27 @@ def test_conductor_bruteforce_needs_exactly_the_torsion_field():
                 m = 1
                 while p**m <= 10**5:
                     ek = e if m == 1 else e.lift(ExtField(f, m))
-                    if ek.group_structure_bruteforce().n1 % l**v == 0:
+                    if enumeration.group_structure(ek).n1 % l**v == 0:
                         break
                     m += 1
                 need = max(need, p**m)
             if need > 10**5:
                 continue
-            assert conductor_bruteforce(e, frob, bound=need) == conductor(e, frob)
+            monkeypatch.setattr(endoring, "ENUM_BOUND", need)
+            assert conductor_bruteforce(e, frob) == conductor(e, frob)
+            monkeypatch.setattr(endoring, "ENUM_BOUND", need - 1)
             with pytest.raises(CapacityError):
-                conductor_bruteforce(e, frob, bound=need - 1)
+                conductor_bruteforce(e, frob)
             checked += 1
     assert checked >= 10, checked
 
 
-def test_conductor_bruteforce_capacity():
+def test_conductor_bruteforce_capacity(monkeypatch):
+    monkeypatch.setattr(endoring, "ENUM_BOUND", 1000)
     e = Curve(PrimeField(1031), 1, 13)
     frob = frobenius_from_trace(1031, -20)
     with pytest.raises(CapacityError):
-        conductor_bruteforce(e, frob, bound=1000)
+        conductor_bruteforce(e, frob)
 
 
 def test_scalar_action_test_refuses_above_conductor_bound(monkeypatch):

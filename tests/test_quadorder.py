@@ -109,6 +109,20 @@ def test_squarefree_decompose():
         squarefree_decompose(4)
 
 
+@pytest.mark.parametrize("n, expected", [
+    (2**1000, True),
+    (3**600, True),
+    (10007**60, True),
+    (6**200, False),
+    (3 * 2**500, False),
+    (1000003**2 * 1000033, False),
+], ids=["2^1000", "3^600", "10007^60", "6^200", "3*2^500", "1000003^2*1000033"])
+def test_is_prime_power(n, expected):
+    # composite exponents: 2^1000 is a square whose root 2^500 is no prime,
+    # so a search over prime exponents alone would have to recurse on roots
+    assert quadorder._is_prime_power(n) is expected
+
+
 def test_lte_known():
     assert lte(3, 4, 1, 3) == 2      # v_3(4^3 - 1) = v_3(63) = 2
     assert lte(2, 5, 1, 4) == 4      # v_2(5^4 - 1) = v_2(624) = 4

@@ -149,10 +149,14 @@ def cmd_analyze(args) -> tuple[dict, str]:
     return report, text
 
 
-def _comparison_setup(spec_a: str, spec_b: str):
+def _parse_pair(spec_a: str, spec_b: str) -> tuple[Curve, Curve]:
     ea, eb = parse_curve_spec(spec_a), parse_curve_spec(spec_b)
     if ea.ctx.p != eb.ctx.p:
         raise ValueError("curves must be defined over the same field")
+    return ea, eb
+
+
+def _comparison_setup(ea: Curve, eb: Curve):
     na, nb = ea.count_points(), eb.count_points()
     if na != nb:
         raise CountMismatchError(f"point counts differ: {na} != {nb}")
@@ -160,7 +164,7 @@ def _comparison_setup(spec_a: str, spec_b: str):
     frob = frobenius_from_trace(q, q + 1 - na)
     ga, gb = conductor(ea, frob), conductor(eb, frob)
     inp = ComparisonInput(frob, ga, gb)
-    return ea, eb, na, frob, inp
+    return na, frob, inp
 
 
 def _comparison_report(args, inp: ComparisonInput, count: int, pattern: IsoPattern) -> tuple[dict, list[str]]:
@@ -189,7 +193,7 @@ def _comparison_report(args, inp: ComparisonInput, count: int, pattern: IsoPatte
 def cmd_compare(args) -> tuple[dict, str]:
     if args.kmax < 0:
         raise ValueError(f"--kmax must be >= 0, got {args.kmax}")
-    _, _, count, frob, inp = _comparison_setup(args.curve_a, args.curve_b)
+    count, frob, inp = _comparison_setup(*_parse_pair(args.curve_a, args.curve_b))
     if args.kmax * frob.q.bit_length() > KMAX_BITS_LIMIT:
         raise CapacityError(
             f"--kmax {args.kmax} times the {frob.q.bit_length()} bits of q exceeds {KMAX_BITS_LIMIT}"
@@ -231,12 +235,15 @@ def cmd_pattern(args) -> tuple[dict, str]:
 def cmd_oracle(args) -> tuple[dict, str]:
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
-    ea, eb, count, frob, inp = _comparison_setup(args.curve_a, args.curve_b)
-    pattern = iso_pattern(inp)
-    q = frob.q
-    # q >= 2, so q^k > ENUM_BOUND once k >= ENUM_BOUND.bit_length(): no huge power
+    ea, eb = _parse_pair(args.curve_a, args.curve_b)
+    # the ceiling needs q and kmax only, so it refuses before any point is
+    # counted; q >= 2, so q^k > ENUM_BOUND once k >= ENUM_BOUND.bit_length():
+    # no huge power
+    q = ea.ctx.p
     if args.kmax >= ENUM_BOUND.bit_length() or q**args.kmax > ENUM_BOUND:
         raise CapacityError(f"field size {q}^{args.kmax} exceeds the enumeration ceiling {ENUM_BOUND}")
+    count, frob, inp = _comparison_setup(ea, eb)
+    pattern = iso_pattern(inp)
     from . import enumeration  # numpy loads only for the oracle
 
     report, lines = _comparison_report(args, inp, count, pattern)

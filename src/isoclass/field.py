@@ -8,6 +8,9 @@ fixed-width tuples of length k, so they hash and compare structurally.
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 Poly = list[int]
 
 # Miller-Rabin with this base set is deterministic below 3.317e24.
@@ -146,9 +149,15 @@ class PrimeField:
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over F_p
 
-# Operands at least this long are multiplied by Kronecker packing; a
-# Reducer divides by multiplying once its quotients are that long.
+# A Reducer divides by multiplying once its quotients are this long.
 PACK_THRESHOLD = 32
+# Products with len(a) * len(b) at least this large go through Kronecker
+# packing, whose fixed cost is a few microseconds; smaller ones, ExtField's
+# among them (k <= 9), stay schoolbook.
+PACK_MIN_PRODUCT = 128
+# Byte j of a little-endian run of 64-bit words sits at index j ^ _FLIP of
+# the same words in native order.
+_FLIP = 0 if sys.byteorder == "little" else 7
 
 
 def poly_trim(a: Poly) -> Poly:
@@ -186,9 +195,10 @@ def poly_scale(a: Poly, c: int, p: int) -> Poly:
 
 
 def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
+    """a * b for coefficients in [0, p)."""
     if not a or not b:
         return []
-    if len(a) >= PACK_THRESHOLD and len(b) >= PACK_THRESHOLD:
+    if len(a) * len(b) >= PACK_MIN_PRODUCT:
         return _poly_mul_packed(a, b, p)
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -201,24 +211,39 @@ def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
 
 def _poly_mul_packed(a: Poly, b: Poly, p: int) -> Poly:
     # Kronecker substitution: pack coefficients into one big integer per
-    # operand so the convolution becomes a single bignum multiply.  Slot
-    # width must hold min(len) * (p-1)^2 without carries.  A square packs
-    # its operand once.
-    slot_bytes = ((min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 7) // 8
-    pa = int.from_bytes(
-        b"".join(c.to_bytes(slot_bytes, "little") for c in a), "little"
-    )
-    pb = pa if b is a else int.from_bytes(
-        b"".join(c.to_bytes(slot_bytes, "little") for c in b), "little"
-    )
-    prod = pa * pb
+    # operand so the convolution becomes a single bignum multiply.  Slots of
+    # s bytes hold min(len) * (p-1)^2 without carries.  A square packs its
+    # operand once.  Packing and unpacking are strided byte copies between
+    # s-byte slots and 64-bit words, so the only Python work per coefficient
+    # is joining its words and reducing mod p.
+    s = ((min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 7) // 8
+    pa = _pack(a, s, p)
+    pb = pa if b is a else _pack(b, s, p)
     n = len(a) + len(b) - 1
-    raw = prod.to_bytes(n * slot_bytes + 16, "little")
-    out = [
-        int.from_bytes(raw[i * slot_bytes : (i + 1) * slot_bytes], "little") % p
-        for i in range(n)
-    ]
-    return poly_trim(out)
+    w = (s + 7) // 8  # words per slot
+    raw = (pa * pb).to_bytes(n * s, "little")
+    words = bytearray(8 * w * n)
+    for j in range(s):
+        words[j ^ _FLIP :: 8 * w] = raw[j::s]
+    view = memoryview(words).cast("Q")
+    if w == 1:
+        return poly_trim([c % p for c in view])
+    # a slot spanning w words is joined from its columns, high word first
+    high = view[w - 1 :: w]
+    for k in range(w - 2, 0, -1):
+        high = [hi << 64 | lo for hi, lo in zip(high, view[k::w])]
+    return poly_trim([(hi << 64 | lo) % p for hi, lo in zip(high, view[::w])])
+
+
+def _pack(a: Poly, s: int, p: int) -> int:
+    """The integer sum(a[i] * 256^(s*i)) for coefficients in [0, p)."""
+    if p >> 64:  # coefficients do not fit a machine word
+        return int.from_bytes(b"".join(c.to_bytes(s, "little") for c in a), "little")
+    words = array("Q", a).tobytes()
+    slots = bytearray(s * len(a))
+    for j in range(((p - 1).bit_length() + 7) // 8):  # the bytes p - 1 occupies
+        slots[j::s] = words[j ^ _FLIP :: 8]
+    return int.from_bytes(slots, "little")
 
 
 def poly_divmod(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
@@ -316,8 +341,8 @@ class Reducer:
 
     def pow(self, base: Poly, e: int) -> Poly:
         """base^e mod m for e >= 0, squaring and multiplying from the most
-        significant bit down, so every multiply is by the reduced base (a
-        short one, like x or x^3 + ax + b, stays a cheap schoolbook product)."""
+        significant bit down, so every multiply is by the reduced base,
+        cheap when that is short, like x or x^3 + ax + b."""
         if e == 0:
             return [1]
         p, red = self.p, self.reduce

@@ -386,6 +386,27 @@ def test_oracle_bound_ceiling(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_oracle_ceiling_before_counting(monkeypatch, capsys):
+    # the ceiling needs q and kmax only, so it refuses before any point is
+    # counted (or any conductor tested): 44537^2 > 4 * 10^6
+    assert main(["oracle", "13:2,5", "13:1,1", "--kmax", "1"]) == 4  # 12 != 18 points
+    capsys.readouterr()
+
+    def no_count(self):
+        raise AssertionError("counted points above the enumeration ceiling")
+
+    monkeypatch.setattr(curve.Curve, "count_points", no_count)
+    assert main(["oracle", "44537:3,0", "44537:3,0", "--kmax", "2"]) == 5
+    assert "enumeration ceiling" in capsys.readouterr().err
+    # a count mismatch above the ceiling is refused by the ceiling too
+    assert main(["oracle", "13:2,5", "13:1,1", "--kmax", "7"]) == 5
+    assert "enumeration ceiling" in capsys.readouterr().err
+    # input errors still come first
+    assert main(["oracle", "13:2,5", "17:1,1", "--kmax", "7"]) == 2
+    assert main(["oracle", "44537:3,0", "44537:3,0", "--kmax", "0"]) == 2
+    capsys.readouterr()
+
+
 # runs the CLI with the enumeration replaced by a failure, so a missing
 # ceiling shows as a traceback instead of a multi-GiB allocation
 _NO_ENUMERATION = (

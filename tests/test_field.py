@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
 from isoclass.field import (
+    PACK_MIN_PRODUCT,
     PACK_THRESHOLD,
     ExtField,
     PrimeField,
@@ -69,18 +71,35 @@ def test_prime_field_ops():
 
 
 def test_poly_mul_matches_schoolbook():
+    # slots of 1 to 5 64-bit words, p above 2^64 (packed without
+    # machine words), shapes on both sides of PACK_MIN_PRODUCT, squares
+    # (b is a), and all-(p-1) operands, the worst case for carries
     rng = random.Random(0)
-    p = 101
-    for _ in range(20):
-        a = [rng.randrange(p) for _ in range(rng.randrange(1, 80))]
-        b = [rng.randrange(p) for _ in range(rng.randrange(1, 80))]
-        ref = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                ref[i + j] = (ref[i + j] + ca * cb) % p
-        while ref and ref[-1] == 0:
-            ref.pop()
-        assert poly_mul(a, b, p) == ref
+    r = PACK_MIN_PRODUCT
+    k = math.isqrt(r - 1)  # k*k < r <= (k+1)^2
+    shapes = [(1, 1), (1, r - 1), (1, r), (1, 1404), (2, r // 2 - 1), (2, r // 2), (2, 300),
+              (k, k), (k + 1, k + 1), (40, 40), (7, 1404), (57, 3)]
+    # 257 and 65537: p - 1 needs one more byte than p - 2
+    primes = [5, 101, 257, 2909, 65537, 1000003, 2**31 - 1, 999999999989, 2**61 - 1,
+              999999999999999989, 2**64 - 59, 2**64 + 13, 2**127 - 1]
+    widths = set()
+    for p in primes:
+        assert is_prime(p)
+        for la, lb in shapes:
+            widths.add(((min(la, lb) * (p - 1) ** 2).bit_length() + 63) // 64)
+            a = [rng.randrange(p) for _ in range(la)]
+            b = [rng.randrange(p) for _ in range(lb)]
+            top_a, top_b = [p - 1] * la, [p - 1] * lb
+            for x, y in [(a, b), (b, a), (a, a), (top_a, top_b), (top_a, top_a)]:
+                ref = [0] * (len(x) + len(y) - 1)
+                for i, cx in enumerate(x):
+                    for j, cy in enumerate(y):
+                        ref[i + j] += cx * cy
+                ref = [c % p for c in ref]
+                while ref and ref[-1] == 0:
+                    ref.pop()
+                assert poly_mul(x, y, p) == ref, (p, len(x), len(y))
+    assert widths == {1, 2, 3, 4, 5}
 
 
 def test_poly_divmod_roundtrip():

@@ -16,8 +16,9 @@ COUNT_BOUND = 10**18  # largest q that count_points takes
 SWEEP_BOUND = 229  # largest q counted by a sweep over every x
 CONDUCTOR_BOUND = 211  # largest prime power c the conductor's scalar test takes
 # Largest field size q^k whose points the enumeration oracle lists.  The
-# listing peaks near 30 MB + 55 bytes per element of F_(q^k): 240 MB and
-# 1.5 s at q^k = 1999^2.
+# listing peaks near 30 MB + 35 bytes per element of F_(q^k): 160 MiB and
+# 0.8 s at q^k = 1999^2.  It holds logs up to 3(q^k - 1) in int32, so this
+# must stay below 2^31 / 3.
 ENUM_BOUND = 4 * 10**6
 
 

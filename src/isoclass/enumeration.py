@@ -10,8 +10,9 @@ The listing is vectorized with numpy.  Field elements are held in
 discrete-log form: a nonzero element is its log base a fixed generator
 (in [0, q-2]) and zero is the log q - 1.  Multiplication is log addition,
 and addition goes through a Zech logarithm table zech[d] = log(1 + g^d),
-so the listing is flat index arithmetic plus a few gathers.  Its length
-gives N = |E(F)|.
+so x^3 + ax + b over every x is two gathers of zech, with numpy wrapping
+the indices mod q - 1; its log is even exactly for the nonzero squares.
+The listing's length gives N = |E(F)|.
 
 The structure then comes from a few listed points and plain Curve
 arithmetic.  For each l^e || N the rows, in order, are pushed into the
@@ -23,6 +24,7 @@ l^e elements.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -44,11 +46,9 @@ def _find_generator(ctx):
 
 @lru_cache(maxsize=4)
 def _field_logs(ctx):
-    """(exp, dlog, zech, root) for F = ctx on logs base _find_generator(ctx),
-    n = q - 1 standing for zero: exp[l] is the code of g^l (exp[n] = 0) and
-    dlog its inverse, zech[d] = log(1 + g^d), and root[l] is the log of a
-    square root of g^l, -1 for nonsquares and for zero (root[n], since
-    y = 0 is listed apart from the +-y pairs)."""
+    """(exp, dlog, zech) for F = ctx on logs base _find_generator(ctx),
+    n = q - 1 standing for zero: exp[l] is the code of g^l (exp[n] = 0),
+    dlog its inverse and zech[d] = log(1 + g^d) for d in [0, n)."""
     p, k, q = ctx.char, ctx.degree, ctx.size
     if p <= 3:
         raise ValueError("log-table enumeration needs characteristic > 3")
@@ -67,64 +67,79 @@ def _field_logs(ctx):
         M = np.array(codes, dtype=np.int64)[:, None] // radix % p
         digits[t : t + m] = digits[:m] @ M % p
         t += m
-    exp = np.zeros(n + 1, dtype=np.int64)
+    exp = np.zeros(n + 1, dtype=np.int32)  # codes are below ENUM_BOUND
     np.matmul(digits, radix, out=exp[:n])
     dlog = np.full(q, -1, dtype=np.int32)
     dlog[exp] = np.arange(n + 1, dtype=np.int32)
     if np.any(dlog < 0):
         raise AssertionError("generator powers do not cover the field")
-    digits[:, 0] += 1  # row l now holds the coefficients of 1 + g^l
-    digits[:, 0] %= p
-    zech = dlog[digits @ radix]
+    # 1 + g^l adds 1 to the constant digit of g^l, which wraps from p - 1 to 0
+    plus1 = exp[:n] + 1
+    plus1[digits[:, 0] == p - 1] -= p
+    zech = dlog[plus1]
     if int(dlog[ctx.encode(ctx.neg(ctx.one))]) != n // 2:
         raise AssertionError("log(-1) mismatch")
-
-    root = np.full(n + 1, -1, dtype=np.int32)
-    ll = np.arange(n, dtype=np.int32)
-    root[2 * ll % n] = ll
-    return exp, dlog, zech, root
+    return exp, dlog, zech
 
 
 def _listed_points(curve: Curve):
     """N = |E(F)| and a function that yields the affine points, decoded one
     at a time in row order: the y = 0 points, then one point of each +-y
-    pair, then their negations.  Raises CapacityError for |F| > ENUM_BOUND."""
+    pair, then their negations.  Raises CapacityError for |F| > ENUM_BOUND.
+
+    x = 0 (rhs = b) is listed apart; the arrays run over x = g^i, i in
+    [0, n).  With la = log a, x^2 + a = a (1 + g^(2i - la)) depends only on
+    i mod n/2, so one wrapped gather of zech on n/2 entries gives
+    u = i + la + zech[2i - la], the log of x^3 + ax (3i when a = 0), and a
+    second gives r = lb + zech[u - lb], the log of the rhs (u when b = 0).
+    Neither is reduced mod n: n is even, so the squares are the even r, and
+    y = g^((r mod n)/2), decoded per row.  The few x with x^2 = -a or
+    rhs = 0, where a gather meets zero, are patched by index.
+    """
     ctx = curve.ctx
     if ctx.size > ENUM_BOUND:
         raise CapacityError(f"field size {ctx.size} exceeds the enumeration ceiling {ENUM_BOUND}")
-    exp, dlog, zech, root = _field_logs(ctx)
-    n = exp.size - 1
-
-    def add(u, v):
-        # log(g^u + g^v) = u + zech[v - u]; zero (n) is the identity
-        z = zech[(v - u) % n]
-        s = np.where(z == n, n, (u + z) % n)
-        return np.where(u == n, v, np.where(v == n, u, s))
-
-    x = np.arange(-1, n, dtype=np.int32)
-    x[0] = n  # x = 0 first, then g^0, g^1, ...
+    exp, dlog, zech = _field_logs(ctx)
+    n = zech.size
+    half = n // 2
     la, lb = (int(dlog[ctx.encode(c)]) for c in (curve.a, curve.b))
-    nonzero = x < n
-    x3 = np.where(nonzero, 3 * x % n, n)
-    ax = np.where(nonzero & (la < n), (x + la) % n, n)
-    rhs = add(add(x3, ax), lb)
-    r = root[rhs]
-    x0 = x[rhs == n]
-    two = r >= 0
-    x1, y1 = x[two], r[two]
+    if la == n:
+        u, fix = np.arange(0, 3 * n, 3, dtype=np.int32), []
+    else:
+        h = np.take(zech, np.arange(-la, n - la, 2), mode="wrap")
+        u = np.empty(n, dtype=np.int32)
+        np.add(h, np.arange(la, la + half, dtype=np.int32), out=u[:half])
+        np.add(u[:half], half, out=u[half:])
+        # x^2 = -a, where x^3 + ax = 0 and u means nothing
+        fix = [i for j in np.flatnonzero(h == n).tolist() for i in (j, j + half)]
+    if lb == n:
+        r, zeros = u, fix
+    else:
+        u -= lb
+        r = np.take(zech, u, mode="wrap")
+        zeros = [i for i in np.flatnonzero(r == n).tolist() if i not in fix]
+        r += lb
+        r[fix] = lb
+    r[zeros] = -1  # odd: no +-y pair
+    sq = np.flatnonzero((r & 1) == 0)
+    x0 = ([n] if lb == n else []) + zeros  # y = 0; log n stands for x = 0
+    x1 = [n] if lb < n and lb % 2 == 0 else []  # x = 0, b a nonzero square
 
     def rows():
         def elt(l):
             return ctx.decode(int(exp[l]))
 
-        for lx in x0:
-            yield elt(lx), ctx.zero
-        for lx, ly in zip(x1, y1):
-            yield elt(lx), elt(ly)
-        for lx, ly in zip(x1, y1):
-            yield elt(lx), ctx.neg(elt(ly))
+        def y(i):
+            return elt((lb if i == n else int(r[i])) % n // 2)
 
-    return 1 + x0.size + 2 * x1.size, rows
+        for i in x0:
+            yield elt(i), ctx.zero
+        for i in chain(x1, sq):
+            yield elt(i), y(i)
+        for i in chain(x1, sq):
+            yield elt(i), ctx.neg(y(i))
+
+    return 1 + len(x0) + 2 * (len(x1) + sq.size), rows
 
 
 def _log_order(curve: Curve, l: int, T) -> int:

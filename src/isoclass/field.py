@@ -327,11 +327,11 @@ class Reducer:
             self.inv = _inverse_series(self.m[::-1], self.n - 1, p)
 
     def reduce(self, a: Poly) -> Poly:
-        """a mod m."""
+        """a mod m, for a trimmed a with coefficients in [0, p), as
+        poly_mul returns them."""
         if self.inv is None:
             return poly_mod(a, self.m, self.p)
-        n, p = self.n, self.p
-        a = poly_trim([c % p for c in a])
+        n = self.n
         while len(a) > 2 * n - 1:
             s = len(a) - (2 * n - 1)
             a = poly_trim(a[:s] + self._reduce_block(a[s:]))
@@ -346,7 +346,7 @@ class Reducer:
         if e == 0:
             return [1]
         p, red = self.p, self.reduce
-        base = red(base)
+        base = red(poly_trim([c % p for c in base]))
         result = base
         for bit in bin(e)[3:]:
             result = red(poly_mul(result, result, p))

@@ -292,6 +292,66 @@ def test_sylow_basis_matches_scalar_mul(p, k, a, b):
             assert (len(naive) == l ** (2 * j)) == (j <= eb), (l, j)
 
 
+# (kind of -a, kind of b), None standing for zero; y^2 = x^3 is singular.
+# "s^3" is -a = s^2 and b = s^3: at x = s, where x^2 = -a, the gather for
+# the rhs reads zero, though the rhs is b
+_KINDS = [(x, y) for x in (None, "square", "nonsquare") for y in (None, "square", "nonsquare")][1:]
+_KINDS.append(("square", "s^3"))
+# the x^2 = -a patches with b = 0 and with b != 0, and a = 0
+_PATCHED = [("square", None), ("square", "s^3"), (None, "square")]
+
+
+@pytest.mark.parametrize(
+    "p, k, kinds",
+    [(13, 1, _KINDS), (101, 1, _KINDS), (13, 2, _KINDS), (11, 3, _KINDS), (7, 4, _PATCHED), (5, 5, _PATCHED)],
+    ids=["13", "101", "13^2", "11^3", "7^4", "5^5"],
+)
+def test_listed_points_match_sweep_seeded(p, k, kinds):
+    # every branch of the listing: a = 0 and b = 0; -a a nonzero square, so
+    # x^3 + ax = 0 off x = 0; and b a square or not, for the x = 0 rows
+    rng = random.Random(p**k)
+    ctx = _ctx(p, k)
+
+    def is_square(c):
+        return ctx.pow(c, (ctx.size - 1) // 2) == ctx.one
+
+    def draw(kind):
+        c = ctx.decode(rng.randrange(1, ctx.size)) if kind else ctx.zero
+        while kind and is_square(c) != (kind == "square"):
+            c = ctx.decode(rng.randrange(1, ctx.size))
+        return c
+
+    for a_kind, b_kind in kinds:
+        while True:
+            if b_kind == "s^3":
+                s = ctx.decode(rng.randrange(1, ctx.size))
+                a, b = ctx.neg(ctx.mul(s, s)), ctx.mul(s, ctx.mul(s, s))
+            else:
+                a, b = ctx.neg(draw(a_kind)), draw(b_kind)  # -a of the drawn kind
+            try:
+                e = Curve(ctx, a, b)
+                break
+            except SingularCurveError:
+                continue
+        N, rows = _listed_points(e)
+        listed = list(rows())
+        assert N == 1 + len(listed) and len(set(listed)) == len(listed), (ctx, a, b)
+        assert all(e.contains(pt) for pt in listed), (ctx, a, b)
+        assert set(listed) == set(points(e)), (ctx, a, b)
+        # y = 0 at x = 0 for b = 0, and at x^2 = -a when that has a root too
+        on_x_axis = sum(1 for _, y in listed if y == ctx.zero)
+        if b_kind is None:
+            assert on_x_axis == (3 if a_kind == "square" else 1), (ctx, a, b)
+        at_x0 = sum(1 for x, _ in listed if x == ctx.zero)
+        assert at_x0 == (1 if b == ctx.zero else 2 if is_square(b) else 0), (ctx, a, b)
+
+
+def test_enum_bound_fits_int32_logs():
+    # the listing keeps logs of x^3 + ax + b unreduced, up to 3(q - 1), in
+    # int32 arrays, and exp holds field codes below ENUM_BOUND as int32
+    assert 3 * enumeration.ENUM_BOUND < 2**31
+
+
 def test_group_structure_matches_naive_seeded():
     rng = random.Random(2024)
     fields = [_ctx(p, 1) for p in (37, 61, 97, 109)] + [_ctx(5, 2), _ctx(7, 2), _ctx(5, 3)]

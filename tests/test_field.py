@@ -17,6 +17,7 @@ from isoclass.field import (
     poly_mod,
     poly_mul,
     poly_powmod,
+    poly_trim,
 )
 
 from helpers import elements, legendre, poly_eval
@@ -189,9 +190,10 @@ def test_reducer_matches_divmod():
                 assert red.reduce(a) == poly_divmod(a, m, p)[1], (n, p, d)
             assert red.reduce([]) == []
             assert red.reduce(m) == []
-            # unreduced coefficients and a zero top block
+            # unreduced coefficients, which reduce leaves to its callers and
+            # pow normalises; and a zero top block
             a = [rng.randrange(-3 * p, 3 * p) for _ in range(2 * n + 3)]
-            assert red.reduce(a) == poly_divmod(a, m, p)[1], (n, p)
+            assert red.pow(a, 1) == poly_divmod(a, m, p)[1], (n, p)
             assert red.reduce([0] * n + m) == []
 
 
@@ -211,6 +213,18 @@ def test_poly_powmod_matches_repeated_multiply():
                 if e in checks:
                     assert poly_powmod(base, e, m, p) == acc, (n, p, e)
                 acc = poly_divmod(poly_mul(acc, base, p), m, p)[1]
+    # a base with negative and >= p coefficients whose top two vanish mod p,
+    # which pow normalises before its first product; at 2n coefficients its
+    # quotient by m is long enough to be a packed product
+    rng = random.Random(7)
+    for n, p in ((32, 2909), (45, 1000003), (70, 2**61 - 1)):
+        m = _random_poly(rng, n, p)
+        base = [rng.randrange(-3 * p, 3 * p) for _ in range(2 * n)] + [p, -2 * p]
+        reduced = poly_trim([c % p for c in base])
+        acc = [1]
+        for e in range(12):
+            assert poly_powmod(base, e, m, p) == acc, (n, p, e)
+            acc = poly_divmod(poly_mul(acc, reduced, p), m, p)[1]
 
 
 def test_poly_eval():

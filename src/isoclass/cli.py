@@ -37,6 +37,10 @@ ALLOWED_LIMIT = 10**6  # largest modulus whose allowed residues a report lists
 # at the limit it answers in about 1.2 s (q = 7, kmax 6666; 1.3 s at q near
 # 10^18, kmax 333, most of it the point count) on a 2-core x86 host.
 KMAX_BITS_LIMIT = 20000
+# Largest bit length of q that pattern takes: a rho step costs more as the
+# number grows, and the step budget runs out in about 2.5 s at 256 bits (4q - 1
+# a product of two 129-bit primes) on a 2-core x86 host.
+PATTERN_Q_BITS = 256
 # Stands in for a pattern's allowed residues until _json_text writes them;
 # a command-line argument cannot hold the NUL, so no input string equals it.
 _RESIDUES = "\0allowed residues"
@@ -210,6 +214,8 @@ def cmd_compare(args) -> tuple[dict, str]:
 
 
 def cmd_pattern(args) -> tuple[dict, str]:
+    if args.q >= 1 << PATTERN_Q_BITS:
+        raise CapacityError(f"q has {args.q.bit_length()} bits, over the pattern ceiling of {PATTERN_Q_BITS}")
     frob = frobenius_from_trace(args.q, args.trace)
     inp = ComparisonInput(frob, args.g, args.g2)
     section, pattern_lines = _pattern_section(iso_pattern(inp))

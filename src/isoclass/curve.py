@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
-from .field import PrimeField, sqrt_mod
+from .field import PrimeField
 from .quadorder import CapacityError, factorize
 
 COUNT_BOUND = 10**18  # largest q that count_points takes
@@ -184,13 +184,14 @@ def _count_mestre(curve: Curve) -> int:
     """|E(F_p)| for p > SWEEP_BOUND by Shanks-Mestre baby-step giant-step
     (Schoof, JTNB 7, 1995).
 
-    Points come from x = 0, 1, 2, ...: (x, sqrt(r)) on E when r = f(x) is a
-    square, else (r*x, r^2) on the twist y^2 = x^3 + a r^2 x + b r^3, whose
-    order is 2p + 2 - N.  L and L2 are the lcms of the point orders found on
-    E and on the twist.  For p > 229 one of the two group exponents has a
-    single multiple in the Hasse interval (Cremona-Sutherland, JTNB 22,
-    2010), so the candidates narrow to N once L and L2 reach the exponents;
-    every x is eventually tried, so they do."""
+    Points come from x = 0, 1, 2, ...: for r = f(x) != 0, (r*x, r^2) lies on
+    E_r: y^2 = x^3 + a r^2 x + b r^3.  For r = s^2, (X, Y) -> (s^2 X, s^3 Y)
+    maps E onto E_r and (x, s) to (r*x, r^2); else E_r is the quadratic
+    twist, of order 2p + 2 - N.  L and L2 are the lcms of the point orders
+    found on E and on the twist.  For p > 229 one of the two group exponents
+    has a single multiple in the Hasse interval (Cremona-Sutherland, JTNB
+    22, 2010), so the candidates narrow to N once L and L2 reach the
+    exponents; every x is eventually tried, so they do."""
     F = curve.ctx
     p = F.p
     L = L2 = 1
@@ -199,12 +200,12 @@ def _count_mestre(curve: Curve) -> int:
         r = curve.rhs(x)
         if r == 0:
             continue
-        y = sqrt_mod(r, p)
-        if y is not None:
-            L = lcm(L, _order_in(curve, (x, y), first, step, n))
+        e_r = Curve(F, curve.a * r * r, curve.b * r * r * r)
+        P = (r * x % p, r * r % p)
+        if pow(r, (p - 1) // 2, p) == 1:
+            L = lcm(L, _order_in(e_r, P, first, step, n))
         else:
-            twist = Curve(F, curve.a * r * r, curve.b * r * r * r)
-            L2 = lcm(L2, _order_in(twist, (r * x % p, r * r % p), 2 * p + 2 - first, -step, n))
+            L2 = lcm(L2, _order_in(e_r, P, 2 * p + 2 - first, -step, n))
         first, step, n = _candidates(p, L, L2)
         if n == 1:
             return first

@@ -6,9 +6,10 @@ endomorphism exactly when tau acts as the scalar a mod c on the c-torsion,
 and that holds exactly when g | b/c.  Testing it for growing prime powers
 pins down every v_p(g).
 
-The scalar test runs symbolically in F_p[x]/(psi~_c) with division
-polynomials, Schoof style; an independent pointwise check over explicit
-torsion points in extension fields backs it as an oracle.
+The scalar test is one congruence in F_p[x] modulo psi~_c, times f (the
+2-torsion) for even c, built from division polynomials, Schoof style; an
+independent pointwise check over explicit torsion points in extension
+fields backs it as an oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .field import (
     PrimeField,
     Poly,
     Reducer,
-    poly_deg,
     poly_mul,
     poly_scale,
     poly_sub,
@@ -103,8 +103,11 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     dividing b), i.e. whether the order of conductor b/c contains tau scaled
     accordingly.  Equivalent to g | b/c for the true conductor g.
 
-    Runs in F_p[x]/(psi~_c), and for even c also in F_p[x]/(f), with
-    n = +-a mod c in [1, c/2], as the x-check x([n]P) = x^q.  With
+    Runs in F_p[x]/(m), m = psi~_c (times f for even c; m = f at c = 2),
+    with n = +-a mod c in [1, c/2], as the x-check x([n]P) = x^q.  The
+    roots of m are the x of E[c] minus O.  A common root of psi~_c and f
+    would be the x of a point in both E[c] minus E[2] and E[2], so by the
+    CRT the check modulo m is the checks modulo each factor.  With
     x([n]P) = x - psi~_(n-1) psi~_(n+1) / psi~_n^2 times 4f for odd n and
     over 4f for even n, it reads (x - x^q) psi~_n^2 (4f if n is even) =
     psi~_(n-1) psi~_(n+1) (4f if n is odd); for n = 1, psi~_0 = 0 leaves
@@ -149,24 +152,17 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     psi = division_polys(curve, [c, n - 1, n, n + 1])
     f = poly_trim([curve.b, curve.a, 0, 1])
     f4 = poly_scale(f, 4, q)
-    # x-coordinates of E[c] minus O are the roots of psi~_c, and for even c
-    # also of f (the 2-torsion); psi~_2 = 1 has none
-    for modulus in [psi[c], f] if c % 2 == 0 else [psi[c]]:
-        if poly_deg(modulus) < 1:
-            continue
-        reducer = Reducer(modulus, q)
-        red = reducer.reduce
-        pn = red(psi[n])
-        lhs = poly_sub([0, 1], reducer.pow([0, 1], q), q)
-        lhs = red(poly_mul(lhs, red(poly_mul(pn, pn, q)), q))
-        rhs = red(poly_mul(red(psi[n - 1]), red(psi[n + 1]), q))
-        if n % 2 == 0:
-            lhs = red(poly_mul(f4, lhs, q))
-        else:
-            rhs = red(poly_mul(f4, rhs, q))
-        if lhs != rhs:
-            return False
-    return True
+    reducer = Reducer(poly_mul(psi[c], f, q) if c % 2 == 0 else psi[c], q)
+    red = reducer.reduce
+    pn = red(psi[n])
+    lhs = poly_sub([0, 1], reducer.pow([0, 1], q), q)
+    lhs = red(poly_mul(lhs, red(poly_mul(pn, pn, q)), q))
+    rhs = red(poly_mul(red(psi[n - 1]), red(psi[n + 1]), q))
+    if n % 2 == 0:
+        lhs = red(poly_mul(f4, lhs, q))
+    else:
+        rhs = red(poly_mul(f4, rhs, q))
+    return lhs == rhs
 
 
 def conductor(curve: Curve, frob: FrobeniusData) -> int:

@@ -46,35 +46,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo an odd prime p by Tonelli-Shanks, or None
-    when a is not a square."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    # p - 1 = odd * 2^s; z is the least non-square
-    odd, s = p - 1, 0
-    while odd % 2 == 0:
-        odd //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    c, t, root = pow(z, odd, p), pow(a, odd, p), pow(a, (odd + 1) // 2, p)
-    # invariant: root^2 = a * t, c has order 2^s and t's order divides 2^(s-1)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c = i, b * b % p
-        t, root = t * c % p, root * b % p
-    return root
-
-
 class PrimeField:
     """Arithmetic context for F_p.  Elements are canonical ints in [0, p)."""
 

@@ -122,7 +122,6 @@ def valuation_criterion(inp: ComparisonInput, k: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=128)
 def nasty_reduce(frob: FrobeniusData) -> FrobeniusData:
     """Frobenius data of tau^2 over F_{q^2}, with raw components (no sign
     normalization).  Used when p = 2, v_2(b) = 1, where the closed form only

@@ -6,12 +6,14 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 from isoclass import cli, curve, enumeration
 from isoclass.cli import (
     KMAX_BITS_LIMIT,
+    PATTERN_Q_BITS,
     main,
     parse_curve_spec,
     pattern_text,
@@ -336,6 +338,29 @@ def test_pattern_factoring_budget_exits_5(q):
     run = _run_module("pattern", "--q", q, "--trace", "1", "--g", "1", "--g2", "1", timeout=30)
     assert run.returncode == 5, run.stderr
     assert "Pollard rho" in run.stderr and "Traceback" not in run.stderr
+
+
+def test_pattern_q_ceiling(capsys):
+    # a 256-bit q passes the ceiling (2^256 - 1 then fails as composite),
+    # a 257-bit one does not
+    argv = ["--trace", "1", "--g", "1", "--g2", "1"]
+    assert main(["pattern", "--q", str(2**256 - 1), *argv]) == 2
+    assert "prime power" in capsys.readouterr().err
+    assert main(["pattern", "--q", str(2**256), *argv]) == 5
+    assert "q has 257 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [2**4000, 10**4000 + 1], ids=["2^4000", "10^4000+1"])
+def test_pattern_huge_q_exits_5(q):
+    # the q ceiling refuses before any prime-power test or factoring, each
+    # of which would run for tens of seconds at these sizes
+    assert PATTERN_Q_BITS == 256
+    start = time.perf_counter()
+    run = _run_module("pattern", "--q", str(q), "--trace", "1", "--g", "1", "--g2", "1", timeout=30)
+    elapsed = time.perf_counter() - start
+    assert run.returncode == 5, run.stderr
+    assert "over the pattern ceiling of 256" in run.stderr and "Traceback" not in run.stderr
+    assert elapsed < 2, elapsed
 
 
 def test_cli_start_leaves_numpy_unloaded():

@@ -18,7 +18,7 @@ from isoclass.enumeration import (
     group_structure,
     sylow_basis,
 )
-from isoclass.field import ExtField, PrimeField, is_prime, sqrt_mod
+from isoclass.field import ExtField, PrimeField, is_prime
 from isoclass.quadorder import frobenius_from_trace, vp
 
 from helpers import count_all_curves, group_order, is_ordinary, legendre, points, trace
@@ -112,11 +112,14 @@ def _twist(e):
 
 
 def _random_square_point(rng, e):
+    # for p = 3 (mod 4), r^((p+1)/4) is a square root of r whenever one exists
     p = e.ctx.p
+    assert p % 4 == 3
     while True:
         x = rng.randrange(p)
-        y = sqrt_mod(e.rhs(x), p)
-        if y is not None:
+        r = e.rhs(x)
+        y = pow(r, (p + 1) // 4, p)
+        if y * y % p == r:
             return x, y
 
 
@@ -143,6 +146,45 @@ def test_count_points_matches_sweep_seeded():
             assert e.count_points() + tw.count_points() == 2 * p + 2
 
 
+def _order(e, P, N):
+    # the least d | N with [d]P = O, given that [N]P = O
+    return min(d for d in range(1, N + 1) if N % d == 0 and e.scalar_mul(d, P) is None)
+
+
+def test_point_on_the_twist_by_f_of_x_seeded():
+    # the point source of the BSGS count: for r = f(x) != 0, (r*x, r^2) lies
+    # on E_r: y^2 = x^3 + a r^2 x + b r^3, which is E when r is a square and
+    # the quadratic twist when it is not; both sides of the sweep switch,
+    # p = 1 and 3 (mod 8), j = 0 and j = 1728
+    rng = random.Random(19)
+    primes = [73, 107, 233, 251]
+    assert {p % 8 for p in primes} == {1, 3}
+    assert min(primes) < SWEEP_BOUND < max(primes)
+    for p in primes:
+        F = PrimeField(p)
+        roots = {y * y % p: y for y in range(p)}
+        coeffs = [(rng.randrange(1, p), rng.randrange(1, p)) for _ in range(2)]
+        coeffs += [(0, rng.randrange(1, p)), (rng.randrange(1, p), 0)]
+        for a, b in coeffs:
+            e = Curve(F, a, b)
+            N = _count_sweep(p, a, b)
+            kinds = set()
+            for x in range(p):
+                r = e.rhs(x)
+                if r == 0:
+                    continue
+                e_r = Curve(F, a * r * r, b * r**3)
+                P = (r * x % p, r * r % p)
+                assert e_r.contains(P), (p, a, b, x)
+                kinds.add(r in roots)
+                if r in roots:
+                    assert _count_sweep(p, e_r.a, e_r.b) == N, (p, a, b, x)
+                    assert _order(e_r, P, N) == _order(e, (x, roots[r]), N), (p, a, b, x)
+                else:
+                    assert _count_sweep(p, e_r.a, e_r.b) == 2 * p + 2 - N, (p, a, b, x)
+            assert kinds == {True, False}, (p, a, b)
+
+
 @pytest.mark.parametrize("p", [10**12 + 39, 10**17 + 3])
 def test_count_points_beyond_the_sweep(p):
     # [N]P = O on E and [2p + 2 - N]P' = O on the twist at seeded points
@@ -156,20 +198,6 @@ def test_count_points_beyond_the_sweep(p):
     for _ in range(4):
         assert e.scalar_mul(n, _random_square_point(rng, e)) is None
         assert tw.scalar_mul(2 * p + 2 - n, _random_square_point(rng, tw)) is None
-
-
-@pytest.mark.parametrize("p", [5, 13, 97, 7681, 65537, 998244353])
-def test_sqrt_mod_tonelli_shanks(p):
-    # 7681 - 1 = 15 * 2^9, 65537 - 1 = 2^16, 998244353 - 1 = 119 * 2^23
-    rng = random.Random(p)
-    values = range(p) if p < 10**4 else [rng.randrange(p) for _ in range(500)]
-    for a in values:
-        y = sqrt_mod(a, p)
-        if legendre(a, p) == -1:
-            assert y is None, a
-        else:
-            assert y * y % p == a, a
-    assert sqrt_mod(p + 4, p) in (2, p - 2)
 
 
 def test_hasse_bound_scan():

@@ -17,8 +17,9 @@ SWEEP_BOUND = 229  # largest q counted by a sweep over every x
 CONDUCTOR_BOUND = 211  # largest prime power c the conductor's scalar test takes
 # Largest field size q^k whose points the enumeration oracle lists.  The
 # listing peaks near 30 MB + 35 bytes per element of F_(q^k): 160 MiB and
-# 0.8 s at q^k = 1999^2.  It holds logs up to 3(q^k - 1) in int32, so this
-# must stay below 2^31 / 3.
+# 0.5 s at q^k = 1999^2.  It holds logs up to 3(q^k - 1) in int32, so this
+# must stay below 2^31 / 3; the table build's int32 sums, at most
+# k (p - 1)^2 for k >= 2, stay far below 2^31 under it.
 ENUM_BOUND = 4 * 10**6
 
 
@@ -48,10 +49,13 @@ class Curve:
     def __init__(self, ctx, a, b):
         if ctx.char <= 3:
             raise ValueError("short Weierstrass model needs characteristic > 3")
-        if isinstance(a, int):
-            a = ctx.from_int(a)
-        if isinstance(b, int):
-            b = ctx.from_int(b)
+        # an int is an integer to read into the field, except over a field
+        # in log form (enumeration.LogField), whose elements are ints
+        if not ctx.log_form:
+            if isinstance(a, int):
+                a = ctx.from_int(a)
+            if isinstance(b, int):
+                b = ctx.from_int(b)
         self.ctx = ctx
         self.a = a
         self.b = b

@@ -6,8 +6,8 @@ endomorphism exactly when tau acts as the scalar a mod c on the c-torsion,
 and that holds exactly when g | b/c.  Testing it for growing prime powers
 pins down every v_p(g).
 
-The scalar test is one congruence in F_p[x] modulo psi~_c, times f (the
-2-torsion) for even c, built from division polynomials, Schoof style; an
+The scalar test is one congruence in F_p[x] modulo psi~_c (modulo f, the
+2-torsion, at c = 2), built from division polynomials, Schoof style; an
 independent pointwise check over explicit torsion points in extension
 fields backs it as an oracle.
 """
@@ -103,11 +103,10 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     dividing b), i.e. whether the order of conductor b/c contains tau scaled
     accordingly.  Equivalent to g | b/c for the true conductor g.
 
-    Runs in F_p[x]/(m), m = psi~_c (times f for even c; m = f at c = 2),
-    with n = +-a mod c in [1, c/2], as the x-check x([n]P) = x^q.  The
-    roots of m are the x of E[c] minus O.  A common root of psi~_c and f
-    would be the x of a point in both E[c] minus E[2] and E[2], so by the
-    CRT the check modulo m is the checks modulo each factor.  With
+    Runs in F_p[x]/(m), m = psi~_c for c >= 3 and m = f at c = 2 (where
+    psi~_2 = 1), with n = +-a mod c in [1, c/2], as the x-check
+    x([n]P) = x^q.  The roots of m are the x of E[c] minus O for odd c and
+    at c = 2, and of E[c] minus E[2] for even c >= 4.  With
     x([n]P) = x - psi~_(n-1) psi~_(n+1) / psi~_n^2 times 4f for odd n and
     over 4f for even n, it reads (x - x^q) psi~_n^2 (4f if n is even) =
     psi~_(n-1) psi~_(n+1) (4f if n is odd); for n = 1, psi~_0 = 0 leaves
@@ -118,14 +117,17 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     psi~_c.  The roots of f are the 2-torsion, which lies in E[c] only for
     even c, and then n is odd.
 
-    The x-check alone decides: it holds exactly when pi(P) = +-[n]P for
-    every P in E[c] minus O.  Then M = [n]^-1 pi is linear on E[c] = (Z/c)^2
-    and pointwise +-1: M e1 = s1 e1, M e2 = s2 e2 and M(e1 + e2) =
-    s(e1 + e2) give s1 = s = s2 mod c, and for c >= 3 the differences, each
-    0 or +-2, vanish, so M = +-1.  If pi = [-a] on E[c], then (tau + a)/c =
-    (2a + b delta)/c lies in End(E), inside the maximal order, so c | 2a;
-    but gcd(a, c) = 1 and c >= 3.  Hence pi = [a] on E[c].  For c = 2,
-    [a] = [-a] on E[2].
+    The x-check alone decides.  It holds exactly when pi(P) = +-[n]P for
+    every P whose x is a root of m.  For even c >= 4 that covers E[2]
+    too: every Q in E[2] minus O is 2P for some P of order 4 in E[c], and
+    pi(Q) = +-[2n]P = +-[n]Q = Q, since n is odd and -Q = Q.  So
+    pi(P) = +-[n]P on all of E[c] minus O.  Then M = [n]^-1 pi is linear on
+    E[c] = (Z/c)^2 and pointwise +-1: M e1 = s1 e1, M e2 = s2 e2 and
+    M(e1 + e2) = s(e1 + e2) give s1 = s = s2 mod c, and for c >= 3 the
+    differences, each 0 or +-2, vanish, so M = +-1.  If pi = [-a] on E[c],
+    then (tau + a)/c = (2a + b delta)/c lies in End(E), inside the maximal
+    order, so c | 2a; but gcd(a, c) = 1 and c >= 3.  Hence pi = [a] on
+    E[c].  For c = 2, [a] = [-a] on E[2].
 
     Raises CapacityError for c > CONDUCTOR_BOUND, before building any
     division polynomial: the modulus psi~_c has degree about c^2/2.
@@ -152,7 +154,7 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     psi = division_polys(curve, [c, n - 1, n, n + 1])
     f = poly_trim([curve.b, curve.a, 0, 1])
     f4 = poly_scale(f, 4, q)
-    reducer = Reducer(poly_mul(psi[c], f, q) if c % 2 == 0 else psi[c], q)
+    reducer = Reducer(f if c == 2 else psi[c], q)
     red = reducer.reduce
     pn = red(psi[n])
     lhs = poly_sub([0, 1], reducer.pow([0, 1], q), q)
@@ -191,7 +193,9 @@ def _full_torsion_action(curve: Curve, frob: FrobeniusData, lp: int, jmax: int) 
     ord Q = lp^eb.  E[lp^j](F) = S[lp^j] has lp^(min(ea,j) + min(eb,j))
     points, so all of E[lp^j] is rational exactly when j <= eb, spanned then
     by [lp^(ea-j)]P and [lp^(eb-j)]Q.  pi - [a mod c] is an endomorphism, so
-    it kills E[c] exactly when it kills those two generators."""
+    it kills E[c] exactly when it kills those two generators.  The basis
+    lives on the log-form curve of enumeration.sylow_basis, where pi
+    multiplies both logs by q mod q^m - 1."""
     from . import enumeration
 
     q = frob.q
@@ -209,18 +213,14 @@ def _full_torsion_action(curve: Curve, frob: FrobeniusData, lp: int, jmax: int) 
             )
         if (size - 1) % c:
             continue
-        ctx = base if m == 1 else ExtField(base, m)
-        lifted = curve if m == 1 else curve.lift(ctx)
-        (P, ea), (Q, eb) = enumeration.sylow_basis(lifted, lp)
+        lifted = curve if m == 1 else curve.lift(ExtField(base, m))
+        E, (P, ea), (Q, eb) = enumeration.sylow_basis(lifted, lp)
+        F = E.ctx
         for j in range(len(passes) + 1, min(eb, jmax) + 1):
             n = frob.a % lp**j
-            gens = (lifted.scalar_mul(lp ** (ea - j), P),
-                    lifted.scalar_mul(lp ** (eb - j), Q))
+            gens = (E.scalar_mul(lp ** (ea - j), P), E.scalar_mul(lp ** (eb - j), Q))
             passes.append(
-                all(
-                    (ctx.pow(x, q), ctx.pow(y, q)) == lifted.scalar_mul(n, (x, y))
-                    for x, y in gens
-                )
+                all((F.pow(x, q), F.pow(y, q)) == E.scalar_mul(n, (x, y)) for x, y in gens)
             )
     return passes
 

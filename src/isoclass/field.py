@@ -50,6 +50,7 @@ class PrimeField:
     """Arithmetic context for F_p.  Elements are canonical ints in [0, p)."""
 
     __slots__ = ("p",)
+    log_form = False  # elements are not logs (see enumeration.LogField)
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -401,6 +402,7 @@ class ExtField:
     """
 
     __slots__ = ("base", "k", "modulus", "p")
+    log_form = False
 
     def __init__(self, base: PrimeField, k: int):
         if k < 1:

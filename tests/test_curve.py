@@ -12,8 +12,10 @@ from isoclass.curve import (
     _count_sweep,
 )
 from isoclass.enumeration import (
+    LogField,
     _find_generator,
     _listed_points,
+    _log_curve,
     _sylow_basis,
     group_structure,
     sylow_basis,
@@ -268,6 +270,17 @@ def _ctx(p, k):
     return base if k == 1 else ExtField(base, k)
 
 
+def _decoder(E):
+    """Maps a point of E, a curve over LogField, to the point over the
+    field the logs stand for."""
+    F = E.ctx
+
+    def dec(pt):
+        return None if pt is None else tuple(F.ctx.decode(int(F.exp[l])) for l in pt)
+
+    return dec
+
+
 def _naive_structure(e):
     """(n1, n2) from the point count and the largest point order, each order
     found by dividing N by its primes while Curve.scalar_mul gives O."""
@@ -292,8 +305,10 @@ def test_sylow_basis_matches_scalar_mul(p, k, a, b):
     ctx = _ctx(p, k)
     e = Curve(PrimeField(p), a, b)
     e = e if k == 1 else e.lift(ctx)
-    N, rows = _listed_points(e)
-    listed = list(rows())
+    E = _log_curve(e)
+    dec = _decoder(E)
+    N, rows = _listed_points(E)
+    listed = [dec(pt) for pt in rows()]
     assert sorted(listed) == sorted(points(e)) and N == 1 + len(listed)
     # x = 0 and y = 0 rows both occur in the first two cases; with a = 0,
     # y^2 = 2 and x^3 = -2 have no root in F_13, nor x^3 = -3 in F_49
@@ -303,7 +318,8 @@ def test_sylow_basis_matches_scalar_mul(p, k, a, b):
     for l in (2, 3):
         v = vp(N, l)
         sylow = {pt for pt in [None] + listed if e.scalar_mul(l**v, pt) is None}
-        (P, ea), (Q, eb) = _sylow_basis(e, N, rows, l)
+        (P, ea), (Q, eb) = _sylow_basis(E, N, rows, l)
+        P, Q = dec(P), dec(Q)
         assert eb <= ea and ea + eb == v
         for G, n in ((P, ea), (Q, eb)):
             assert e.scalar_mul(l**n, G) is None
@@ -361,8 +377,9 @@ def test_listed_points_match_sweep_seeded(p, k, kinds):
                 break
             except SingularCurveError:
                 continue
-        N, rows = _listed_points(e)
-        listed = list(rows())
+        E = _log_curve(e)
+        N, rows = _listed_points(E)
+        listed = [_decoder(E)(pt) for pt in rows()]
         assert N == 1 + len(listed) and len(set(listed)) == len(listed), (ctx, a, b)
         assert all(e.contains(pt) for pt in listed), (ctx, a, b)
         assert set(listed) == set(points(e)), (ctx, a, b)
@@ -378,6 +395,70 @@ def test_enum_bound_fits_int32_logs():
     # the listing keeps logs of x^3 + ax + b unreduced, up to 3(q - 1), in
     # int32 arrays, and exp holds field codes below ENUM_BOUND as int32
     assert 3 * enumeration.ENUM_BOUND < 2**31
+
+
+def test_enum_bound_fits_int32_digit_columns():
+    # _field_logs sums k products of base-p digits, each at most (p - 1)^2,
+    # in int32 columns for k >= 2; p is at most the k-th root of the bound
+    for k in range(2, enumeration.ENUM_BOUND.bit_length()):
+        p = 1
+        while (p + 1) ** k <= enumeration.ENUM_BOUND:
+            p += 1
+        assert k * (p - 1) ** 2 < 2**31, k
+
+
+@pytest.mark.parametrize("p, k", [(13, 1), (101, 1), (7, 2), (5, 3), (11, 3)])
+def test_log_field_matches_field_seeded(p, k):
+    # every LogField operation, read back through exp and decode, is the
+    # field's own; zero (the log n) and -1 (the log n/2) are among the operands
+    rng = random.Random(p**k)
+    ctx = _ctx(p, k)
+    F = LogField(ctx)
+
+    def dec(l):
+        return ctx.decode(int(F.exp[l]))
+
+    minus1 = F.log(ctx.neg(ctx.one))
+    assert (F.zero, minus1) == (F.n, F.n // 2) and F.n == ctx.size - 1
+    assert [dec(l) for l in (F.zero, F.one, minus1)] == [ctx.zero, ctx.one, ctx.neg(ctx.one)]
+    logs = [F.zero, F.one, minus1] + [rng.randrange(F.n) for _ in range(30)]
+    for x in logs:
+        X = dec(x)
+        assert F.log(X) == x
+        assert dec(F.neg(x)) == ctx.neg(X)
+        if x == F.zero:
+            with pytest.raises(ZeroDivisionError):
+                F.inv(x)
+        else:
+            assert dec(F.inv(x)) == ctx.inv(X)
+        for e in (0, 1, 2, 3, p, ctx.size):
+            assert dec(F.pow(x, e)) == ctx.pow(X, e), (x, e)
+        for y in logs:
+            Y = dec(y)
+            assert dec(F.add(x, y)) == ctx.add(X, Y), (x, y)
+            assert dec(F.sub(x, y)) == ctx.sub(X, Y), (x, y)
+            assert dec(F.mul(x, y)) == ctx.mul(X, Y), (x, y)
+    for c in range(-p, 2 * p):
+        assert dec(F.from_int(c)) == ctx.from_int(c), c
+
+
+def test_log_curve_keeps_the_curve_checks():
+    # over LogField the coefficients arrive as logs, and Curve still refuses
+    # a singular equation and points off the curve
+    ctx = _ctx(7, 2)
+    e = Curve(PrimeField(7), 3, 2).lift(ctx)
+    E = _log_curve(e)
+    F = E.ctx
+    assert (E.a, E.b) == (F.log(e.a), F.log(e.b))
+    with pytest.raises(SingularCurveError):
+        Curve(F, F.zero, F.zero)
+    with pytest.raises(SingularCurveError):
+        Curve(F, F.log(ctx.from_int(-3)), F.log(ctx.from_int(2)))
+    off = next((x, y) for x in range(F.n) for y in range(F.n) if not E.contains((x, y)))
+    with pytest.raises(ValueError):
+        E.scalar_mul(2, off)
+    with pytest.raises(ValueError):
+        E.add(off, None)
 
 
 def test_group_structure_matches_naive_seeded():

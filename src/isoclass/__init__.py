@@ -24,12 +24,7 @@ from .endoring import (
     division_polys,
     scalar_action_test,
 )
-from .field import (
-    ExtField,
-    PrimeField,
-    find_irreducible,
-    is_prime,
-)
+from .field import PrimeField, is_prime
 from .isomorphy import (
     ComparisonInput,
     IsoPattern,
@@ -61,7 +56,6 @@ __all__ = [
     "CapacityError",
     "ComparisonInput",
     "Curve",
-    "ExtField",
     "FrobeniusData",
     "GroupStructure",
     "IsoPattern",
@@ -73,7 +67,6 @@ __all__ = [
     "conductor_bruteforce",
     "division_polys",
     "factorize",
-    "find_irreducible",
     "frobenius_from_trace",
     "gcd_criterion",
     "is_prime",

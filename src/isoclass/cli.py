@@ -19,7 +19,7 @@ import sys
 
 from .curve import ENUM_BOUND, CapacityError, Curve
 from .endoring import conductor
-from .field import ExtField, PrimeField
+from .field import PrimeField
 from .isomorphy import (
     ComparisonInput,
     IsoPattern,
@@ -254,14 +254,10 @@ def cmd_oracle(args) -> tuple[dict, str]:
 
     report, lines = _comparison_report(args, inp, count, pattern)
     rows = []
-    base = ea.ctx
     all_agree = True
     for k in range(1, args.kmax + 1):
-        ctx = base if k == 1 else ExtField(base, k)
-        ca = ea if k == 1 else ea.lift(ctx)
-        cb = eb if k == 1 else eb.lift(ctx)
-        sa = enumeration.group_structure(ca)
-        sb = enumeration.group_structure(cb)
+        sa = enumeration.group_structure(ea, k)
+        sb = enumeration.group_structure(eb, k)
         iso = sa == sb
         predicted = pattern_eval(pattern, k)
         agree = iso == predicted

@@ -1,5 +1,7 @@
-"""Short Weierstrass curves y^2 = x^3 + a*x + b over prime fields and their
-extensions.  Points are None (infinity) or (x, y) pairs of field elements.
+"""Short Weierstrass curves y^2 = x^3 + a*x + b over prime fields, and over
+the log-form extension fields of the enumeration oracle
+(enumeration.LogField).  Points are None (infinity) or (x, y) pairs of
+field elements.
 
 Characteristic > 3 is required: the short model does not cover char 2 and 3.
 """
@@ -142,7 +144,7 @@ class Curve:
             n >>= 1
         return result
 
-    # -- point counting (prime fields) and lifting to extensions --
+    # -- point counting (prime fields) --
 
     def count_points(self) -> int:
         """|E(F_p)|, counted once per curve and kept (the curve is
@@ -160,14 +162,6 @@ class Curve:
             else:
                 self._count = _count_mestre(self)
         return self._count
-
-    def lift(self, ctx) -> "Curve":
-        """The same equation read over an extension of the base field."""
-        if ctx.char != self.ctx.char:
-            raise ValueError("extension must have the same characteristic")
-        if not isinstance(self.ctx, PrimeField):
-            raise TypeError("lift starts from the prime field")
-        return Curve(ctx, ctx.from_int(self.a), ctx.from_int(self.b))
 
 
 def _count_sweep(p: int, a: int, b: int) -> int:

@@ -18,7 +18,6 @@ from collections.abc import Iterable
 
 from .curve import CONDUCTOR_BOUND, ENUM_BOUND, CapacityError, Curve
 from .field import (
-    ExtField,
     PrimeField,
     Poly,
     Reducer,
@@ -199,7 +198,6 @@ def _full_torsion_action(curve: Curve, frob: FrobeniusData, lp: int, jmax: int) 
     from . import enumeration
 
     q = frob.q
-    base = curve.ctx
     passes: list[bool] = []
     m = 0
     size = 1
@@ -213,8 +211,7 @@ def _full_torsion_action(curve: Curve, frob: FrobeniusData, lp: int, jmax: int) 
             )
         if (size - 1) % c:
             continue
-        lifted = curve if m == 1 else curve.lift(ExtField(base, m))
-        E, (P, ea), (Q, eb) = enumeration.sylow_basis(lifted, lp)
+        E, (P, ea), (Q, eb) = enumeration.sylow_basis(curve, lp, m)
         F = E.ctx
         for j in range(len(passes) + 1, min(eb, jmax) + 1):
             n = frob.a % lp**j

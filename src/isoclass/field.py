@@ -1,9 +1,8 @@
-"""Prime fields F_p, dense univariate polynomials over them, and extension
-fields F_{p^k} built from a deterministically chosen irreducible modulus.
+"""Prime fields F_p and dense univariate polynomials over them.
 
 Polynomials are plain lists of ints with ascending coefficients and no
-trailing zeros ([] is the zero polynomial).  Extension field elements are
-fixed-width tuples of length k, so they hash and compare structurally.
+trailing zeros ([] is the zero polynomial).  The extension fields F_{p^k}
+that the enumeration oracle lists live in enumeration.py, in log form.
 """
 
 from __future__ import annotations
@@ -62,14 +61,6 @@ class PrimeField:
         return self.p
 
     @property
-    def degree(self) -> int:
-        return 1
-
-    @property
-    def size(self) -> int:
-        return self.p
-
-    @property
     def zero(self) -> int:
         return 0
 
@@ -102,12 +93,6 @@ class PrimeField:
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
-    def encode(self, a: int) -> int:
-        return a
-
-    def decode(self, code: int) -> int:
-        return code
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -124,8 +109,9 @@ class PrimeField:
 # A Reducer divides by multiplying once its quotients are this long.
 PACK_THRESHOLD = 32
 # Products with len(a) * len(b) at least this large go through Kronecker
-# packing, whose fixed cost is a few microseconds; smaller ones, ExtField's
-# among them (k <= 9), stay schoolbook.
+# packing, whose fixed cost is a few microseconds; smaller ones, those
+# modulo the oracle's primitive polynomials among them (degree k <= 9),
+# stay schoolbook.
 PACK_MIN_PRODUCT = 128
 # Byte j of a little-endian run of 64-bit words sits at index j ^ _FLIP of
 # the same words in native order.
@@ -243,23 +229,7 @@ def poly_mod(a: Poly, m: Poly, p: int) -> Poly:
     return poly_divmod(a, m, p)[1]
 
 
-def poly_monic(a: Poly, p: int) -> Poly:
-    if not a:
-        return []
-    return poly_scale(a, pow(a[-1], p - 2, p), p)
-
-
-def poly_gcd(a: Poly, b: Poly, p: int) -> Poly:
-    """Monic gcd; rejects the pair (0, 0)."""
-    a = poly_trim([c % p for c in a])
-    b = poly_trim([c % p for c in b])
-    if not a and not b:
-        raise ValueError("gcd(0, 0) is undefined")
-    while b:
-        a, b = b, poly_mod(a, b, p)
-    return poly_monic(a, p)
-
-
+# no caller in the package; kept while the benchmark's layer list names it
 def poly_invmod(a: Poly, m: Poly, p: int) -> Poly:
     """Inverse of a in F_p[x]/(m) by the extended Euclidean algorithm on
     (m, a mod m), carrying only a's cofactor u with r = u*a (mod m) for each
@@ -355,138 +325,3 @@ def poly_powmod(base: Poly, e: int, m: Poly, p: int) -> Poly:
     if e < 0:
         raise ValueError("negative exponent")
     return Reducer(m, p).pow(base, e)
-
-
-def _is_irreducible(f: Poly, p: int) -> bool:
-    # f of degree k has no factor of degree d iff gcd(x^(p^d) - x, f) = 1;
-    # checking d <= k/2 suffices.
-    k = poly_deg(f)
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    xq = [0, 1]
-    for _ in range(k // 2):
-        xq = poly_powmod(xq, p, f, p)
-        g = poly_gcd(poly_sub(xq, [0, 1], p), f, p)
-        if poly_deg(g) != 0:
-            return False
-    return True
-
-
-def find_irreducible(p: int, k: int) -> Poly:
-    """First monic irreducible of degree k over F_p, candidates enumerated in
-    lexicographic order of the low-coefficient vector (c0 varies fastest)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("degree must be >= 1")
-    for idx in range(p**k):
-        coeffs = []
-        n = idx
-        for _ in range(k):
-            coeffs.append(n % p)
-            n //= p
-        f = coeffs + [1]
-        if _is_irreducible(f, p):
-            return poly_trim(f)
-    raise AssertionError("unreachable: irreducibles of every degree exist")
-
-
-class ExtField:
-    """Arithmetic context for F_{p^k} = F_p[x]/(modulus).
-
-    Elements are tuples of k ints in [0, p), low coefficient first.  Codes
-    are the base-p packed integers sum(c_i * p^i), giving a bijection with
-    range(p^k).
-    """
-
-    __slots__ = ("base", "k", "modulus", "p")
-    log_form = False
-
-    def __init__(self, base: PrimeField, k: int):
-        if k < 1:
-            raise ValueError("extension degree must be >= 1")
-        self.base = base
-        self.p = base.p
-        self.k = k
-        self.modulus = find_irreducible(self.p, k)
-
-    @property
-    def char(self) -> int:
-        return self.p
-
-    @property
-    def degree(self) -> int:
-        return self.k
-
-    @property
-    def size(self) -> int:
-        return self.p**self.k
-
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.k
-
-    @property
-    def one(self) -> tuple[int, ...]:
-        return (1,) + (0,) * (self.k - 1)
-
-    def from_int(self, n: int) -> tuple[int, ...]:
-        return (n % self.p,) + (0,) * (self.k - 1)
-
-    def from_poly(self, a: Poly) -> tuple[int, ...]:
-        a = poly_mod(a, self.modulus, self.p)
-        return tuple(a) + (0,) * (self.k - len(a))
-
-    def to_poly(self, a: tuple[int, ...]) -> Poly:
-        return poly_trim(list(a))
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x % self.p for x in a)
-
-    def mul(self, a, b):
-        return self.from_poly(poly_mul(self.to_poly(a), self.to_poly(b), self.p))
-
-    def inv(self, a):
-        if all(c == 0 for c in a):
-            raise ZeroDivisionError(f"0 is not invertible in F_{self.p}^{self.k}")
-        return self.from_poly(poly_invmod(self.to_poly(a), self.modulus, self.p))
-
-    def pow(self, a, e: int):
-        if e < 0:
-            a, e = self.inv(a), -e
-        return self.from_poly(poly_powmod(self.to_poly(a), e, self.modulus, self.p))
-
-    def encode(self, a) -> int:
-        code = 0
-        for c in reversed(a):
-            code = code * self.p + c
-        return code
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtField)
-            and other.p == self.p
-            and other.k == self.k
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash(("ExtField", self.p, self.k, tuple(self.modulus)))
-
-    def __repr__(self) -> str:
-        return f"ExtField({self.p}, {self.k})"

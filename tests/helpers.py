@@ -1,4 +1,5 @@
-"""Reference helpers that only the tests use: field elements in code order,
+"""Reference helpers that only the tests use: F_p[x]/(f) by schoolbook
+arithmetic, field elements in code order, the monic polynomial gcd,
 a curve's trace and a group's order, a pattern's allowed residues as a set,
 factoring by trial division, exhaustive point listing, the ordinary
 check, the Legendre symbol, polynomial evaluation, the counts of every
@@ -11,17 +12,90 @@ import itertools
 import numpy as np
 
 from isoclass.endoring import division_polys
-from isoclass.field import ExtField, Reducer, is_prime, poly_mul, poly_neg, poly_scale, poly_sub, poly_trim
+from isoclass.field import Reducer, is_prime, poly_mod, poly_mul, poly_neg, poly_scale, poly_sub, poly_trim
 from isoclass.quadorder import vp
 
 
+class PolyField:
+    """F_p[x]/(f) for a monic f of degree k, by schoolbook arithmetic on
+    poly_mul and poly_mod: the reference for the oracle's log-form fields,
+    given their modulus.  Elements are tuples of k ints in [0, p), low
+    coefficient first; the code of one is sum c_i*p^i, as in the oracle's
+    exp table.  inv needs f irreducible; the rest is ring arithmetic."""
+
+    log_form = False
+
+    def __init__(self, p: int, f: list[int]):
+        self.p = self.char = p
+        self.f = f
+        self.k = len(f) - 1
+        self.size = p**self.k
+        self.zero = (0,) * self.k
+        self.one = self.from_int(1)
+
+    def reduce(self, a):
+        """The element that the polynomial a stands for."""
+        a = poly_mod(a, self.f, self.p)
+        return tuple(a) + (0,) * (self.k - len(a))
+
+    def from_int(self, n: int):
+        return self.reduce([n % self.p])
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    def mul(self, a, b):
+        return self.reduce(poly_mul(poly_trim(list(a)), poly_trim(list(b)), self.p))
+
+    def pow(self, a, e: int):
+        if e < 0:
+            a, e = self.inv(a), -e
+        out = self.one
+        for bit in bin(e)[2:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+    def inv(self, a):
+        if a == self.zero:
+            raise ZeroDivisionError(f"0 is not invertible in F_{self.p}^{self.k}")
+        return self.pow(a, self.size - 2)
+
+    def encode(self, a) -> int:
+        return sum(c * self.p**i for i, c in enumerate(a))
+
+    def decode(self, code: int):
+        return tuple(code // self.p**i % self.p for i in range(self.k))
+
+    def __repr__(self) -> str:
+        return f"PolyField({self.p}, {self.f})"
+
+
 def elements(ctx):
-    """Every element of a prime or extension field, in code order
+    """Every element of a prime field or a PolyField, in code order
     (code = sum c_i*p^i, so c0 varies fastest), listed without decode."""
-    if isinstance(ctx, ExtField):
+    if isinstance(ctx, PolyField):
         # itertools varies the last slot fastest; codes want c0 fastest
         return (tuple(reversed(d)) for d in itertools.product(range(ctx.p), repeat=ctx.k))
     return iter(range(ctx.p))
+
+
+def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd; rejects the pair (0, 0)."""
+    a = poly_trim([c % p for c in a])
+    b = poly_trim([c % p for c in b])
+    if not a and not b:
+        raise ValueError("gcd(0, 0) is undefined")
+    while b:
+        a, b = b, poly_mod(a, b, p)
+    return poly_scale(a, pow(a[-1], p - 2, p), p)
 
 
 def trace(curve) -> int:

@@ -394,8 +394,8 @@ def test_oracle_bound_ceiling(monkeypatch, capsys):
     # at 1999^2 is test_oracle_memory_at_the_ceiling)
     listed = []
 
-    def fake_group_structure(e):
-        listed.append(e.ctx.size)
+    def fake_group_structure(e, k):
+        listed.append(e.ctx.p**k)
         return curve.GroupStructure(1, 1)
 
     monkeypatch.setattr(enumeration, "group_structure", fake_group_structure)

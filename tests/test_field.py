@@ -3,16 +3,14 @@ import random
 
 import pytest
 
+from isoclass.enumeration import LogField, _field_logs, _primitive_poly
 from isoclass.field import (
     PACK_MIN_PRODUCT,
     PACK_THRESHOLD,
-    ExtField,
     PrimeField,
     Reducer,
-    find_irreducible,
     is_prime,
     poly_divmod,
-    poly_gcd,
     poly_invmod,
     poly_mod,
     poly_mul,
@@ -20,7 +18,7 @@ from isoclass.field import (
     poly_trim,
 )
 
-from helpers import elements, legendre, poly_eval
+from helpers import elements, legendre, poly_eval, poly_gcd
 
 
 def test_is_prime_small():
@@ -54,7 +52,7 @@ def test_legendre():
 
 def test_prime_field_ops():
     f = PrimeField(7)
-    assert f.char == 7 and f.degree == 1 and f.size == 7
+    assert f.char == 7
     assert f.add(3, 5) == 1
     assert f.sub(2, 5) == 4
     assert f.mul(3, 5) == 1
@@ -63,8 +61,6 @@ def test_prime_field_ops():
     assert f.pow(3, 6) == 1
     assert f.neg(0) == 0
     assert list(elements(f)) == list(range(7))
-    for x in elements(f):
-        assert f.decode(f.encode(x)) == x
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
     with pytest.raises(ValueError):
@@ -234,54 +230,38 @@ def test_poly_eval():
         assert poly_eval(f, x, p) == (3 * x * x + 2 * x + 1) % p
 
 
-def test_find_irreducible_known():
-    assert find_irreducible(5, 1) == [0, 1]
-    assert find_irreducible(2, 2) == [1, 1, 1]
-    assert find_irreducible(5, 2) == [2, 0, 1]
-
-
-def test_find_irreducible_is_irreducible():
-    for p, k in [(3, 2), (3, 3), (5, 3), (7, 2), (11, 2), (5, 4)]:
-        f = find_irreducible(p, k)
-        assert len(f) == k + 1 and f[-1] == 1
-        # no roots for k >= 2
-        for x in range(p):
-            assert poly_eval(f, x, p) != 0
-
-
 def test_ext_field_arithmetic():
-    base = PrimeField(5)
-    f = ExtField(base, 2)
-    assert f.char == 5 and f.degree == 2 and f.size == 25
-    one, zero = f.one, f.zero
-    assert f.add(one, zero) == one
-    # x^2 = -2 = 3 under modulus x^2 + 2
-    x = f.from_poly([0, 1])
-    assert f.mul(x, x) == f.from_int(3)
-    # multiplicative group order 24
-    for e in (f.from_int(2), x, f.add(x, one)):
-        assert f.pow(e, 24) == one
-        assert f.mul(e, f.inv(e)) == one
+    # F_25 in log form, on base x modulo the primitive f: x^2 = -f1 x - f0,
+    # and every unit has order dividing 24
+    F = LogField(5, 2)
+    f = _primitive_poly(5, 2)
+    assert F.char == 5 and F.n == 24
+    one, zero, x = F.one, F.zero, 1  # the log 1 is x
+    assert F.add(one, zero) == one
+    assert F.mul(x, x) == F.sub(F.mul(F.from_int(-f[1]), x), F.from_int(f[0]))
+    for e in (F.from_int(2), x, F.add(x, one)):
+        assert F.pow(e, 24) == one
+        assert F.mul(e, F.inv(e)) == one
     with pytest.raises(ZeroDivisionError):
-        f.inv(zero)
+        F.inv(zero)
 
 
 def test_ext_field_encode_decode_roundtrip():
-    f = ExtField(PrimeField(3), 3)
-    seen = set()
-    for i, e in enumerate(elements(f)):
-        assert f.encode(e) == i
-        assert f.decode(i) == e
-        seen.add(e)
-    assert len(seen) == 27
+    # exp decodes the logs 0 .. q - 1 (q - 1 standing for zero) onto every
+    # code of F_125 once, dlog encodes them back, and a constant is its own
+    # code
+    exp, dlog, _ = _field_logs(5, 3)
+    assert sorted(exp.tolist()) == list(range(125))
+    assert [int(dlog[c]) for c in exp] == list(range(125))
+    F = LogField(5, 3)
+    assert [int(exp[F.from_int(c)]) for c in range(5)] == list(range(5))
 
 
 def test_ext_field_frobenius_fixed_field():
     # a^q = a exactly for base-field elements
-    f = ExtField(PrimeField(7), 2)
-    for c in range(7):
-        e = f.from_int(c)
-        assert f.pow(e, 7) == e
-    x = f.from_poly([0, 1])
-    assert f.pow(x, 7) != x
-    assert f.pow(x, 49) == x
+    F = LogField(7, 2)
+    fixed = {a for a in range(F.n + 1) if F.pow(a, 7) == a}
+    assert fixed == {F.from_int(c) for c in range(7)}
+    x = 1
+    assert F.pow(x, 7) != x
+    assert F.pow(x, 49) == x

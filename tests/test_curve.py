@@ -541,6 +541,29 @@ def test_primitive_poly_search_order():
         assert _primitive_poly(p, k) == first, (p, k)
 
 
+def test_generator_search_starts_at_p():
+    # the log tables' base x = exp[1] is the first generator in code order
+    # under the reference arithmetic: the smallest primitive root at k = 1,
+    # and at k >= 2 x itself, code p, as no constant generates F_q^*
+    for p, k in ((13, 1), (7, 2), (5, 3), (97, 2)):
+        R = PolyField(p, _primitive_poly(p, k))
+        n = R.size - 1
+        primes = trial_factor(n)
+        first = next(
+            code
+            for code in range(2, R.size)
+            if all(R.pow(R.decode(code), n // l) != R.one for l in primes)
+        )
+        exp, _, _ = _field_logs(p, k)
+        assert int(exp[1]) == first, (p, k)
+        assert k == 1 or first == p, (p, k)
+        gen = R.decode(first)
+        y, order = gen, 1
+        while y != R.one:
+            y, order = R.mul(y, gen), order + 1
+        assert order == n, (p, k)
+
+
 def test_primitive_poly_every_enum_field():
     # a primitive polynomial for every 5 <= p < 100 and k with p^k <= ENUM_BOUND
     checked = 0

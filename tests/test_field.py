@@ -230,6 +230,20 @@ def test_poly_eval():
         assert poly_eval(f, x, p) == (3 * x * x + 2 * x + 1) % p
 
 
+def test_find_irreducible_known():
+    # the modulus of the log tables: x - c for the smallest primitive root c
+    # at k = 1, and at k >= 2 the first primitive f of norm c, which has no
+    # root in F_p
+    assert _primitive_poly(5, 1) == [3, 1]
+    assert _primitive_poly(7, 1) == [4, 1]
+    assert _primitive_poly(5, 2) == [2, 1, 1]
+    assert _primitive_poly(7, 2) == [3, 1, 1]
+    assert _primitive_poly(5, 3) == [3, 3, 0, 1]
+    for p, k in ((5, 2), (7, 2), (5, 3)):
+        f = _primitive_poly(p, k)
+        assert all(poly_eval(f, x, p) != 0 for x in range(p)), (p, k)
+
+
 def test_ext_field_arithmetic():
     # F_25 in log form, on base x modulo the primitive f: x^2 = -f1 x - f0,
     # and every unit has order dividing 24

@@ -9,17 +9,21 @@ endoring.conductor_bruteforce check the same ceiling before listing.
 
 The whole oracle runs on discrete logs.  F_{p^k} is F_p[x]/(f) for a
 primitive polynomial f, so x generates F^*: a nonzero element is its log
-base x (in [0, q-2]) and zero is the log q - 1.  The tables behind this
-form, exp, dlog and a Zech logarithm table zech[d] = log(1 + x^d), are
-built once per field from the coefficients of the powers of x, kept as k
-int32 columns and doubled by column-wise numpy passes.  Multiplication is
-log addition and addition is one Zech lookup, so LogField gives Curve its
-arithmetic at the cost of a few integer operations.
+base x (in [0, q-2]) and zero is the log q - 1.  The test that finds f
+also fixes x^r = c, a primitive root of F_p, for r = (q - 1)/(p - 1), so
+the powers of x are the products c^s x^i with i < r.  The tables are
+built once per field from that block: the k int32 digit columns of
+x^0 .. x^(r-1), doubled by column-wise numpy passes, times the powers of c
+give the code of every power, and one scatter of its inverse gives the
+Zech logarithm table zech[d] = log(1 + x^d).  Only zech and the logs of
+the p constants are kept.  Multiplication is log addition and addition is
+one Zech lookup, so LogField gives Curve its arithmetic at the cost of a
+few integer operations.
 
 The listing is vectorized with numpy: x^3 + ax + b over every x is two
-gathers of zech, and its log is even exactly for the nonzero squares.  The
-listing's length gives N = |E(F)|; its rows are points of the curve over
-LogField.
+gathers of zech, and its log is even exactly for the nonzero squares,
+which give N = |E(F)| by a count.  The rows, points of the curve over
+LogField, are found from the parities block by block as they are read.
 
 The structure then comes from a few listed points and plain Curve
 arithmetic over LogField.  For each l^e || N the rows, in order, are pushed
@@ -31,7 +35,6 @@ has l^e elements.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -39,13 +42,18 @@ from .curve import ENUM_BOUND, Curve, GroupStructure
 from .field import Poly, poly_mod, poly_mul, poly_powmod
 from .quadorder import CapacityError, factorize, vp
 
+# log entries that the listing scans at a time for its square rows; the
+# Sylow bases read only the first few rows
+_ROW_BLOCK = 1 << 12
 
-def _is_primitive(f: Poly, p: int) -> bool:
+
+def _is_primitive(f: Poly, p: int, primes=None) -> bool:
     """Whether x generates the units of F_p[x]/(f), for f monic of degree
     k >= 1, by the constant-term test (Alanen and Knuth, Sankhya A 26, 1964;
     Knuth, TAOCP vol. 2, 3.2.2): c = (-1)^k f(0) is a primitive root of F_p,
     x^r = c (mod f) for r = (p^k - 1)/(p - 1), and x^(r/l) mod f is not a
-    constant for any prime l | r.
+    constant for any prime l | r.  primes, when given, is the pair (primes
+    of p - 1, primes of r), which a search factors once.
 
     Sound: let d be the order of x modulo f and l a prime dividing n =
     p^k - 1 = r(p - 1); x^n = c^(p-1) = 1, so d | n.  If l | p - 1, then
@@ -57,13 +65,14 @@ def _is_primitive(f: Poly, p: int) -> bool:
     Niederreiter, Finite Fields, ch. 3).  Conversely a primitive f passes,
     as x^r is the norm (-1)^k f(0) of x and x^(r/l) has order l(p - 1)."""
     k = len(f) - 1
-    c = (-1) ** k * f[0] % p
-    if c == 0 or any(pow(c, (p - 1) // l, p) == 1 for l in factorize(p - 1)):
-        return False
     r = (p**k - 1) // (p - 1)
+    lp, lr = primes or (factorize(p - 1), factorize(r))
+    c = (-1) ** k * f[0] % p
+    if c == 0 or any(pow(c, (p - 1) // l, p) == 1 for l in lp):
+        return False
     x = [0, 1]
     return poly_powmod(x, r, f, p) == [c] and all(
-        len(poly_powmod(x, r // l, f, p)) > 1 for l in factorize(r)
+        len(poly_powmod(x, r // l, f, p)) > 1 for l in lr
     )
 
 
@@ -72,43 +81,34 @@ def _primitive_poly(p: int, k: int) -> Poly:
     primitive root c of F_p in increasing order as the norm of x, so
     f(0) = (-1)^k c, and for each c the coefficients f_1 .. f_(k-1) with
     f_1 varying fastest.  At k = 1 it is x - c for the smallest c."""
+    primes = factorize(p - 1), factorize((p**k - 1) // (p - 1))
     for c in range(1, p):
-        if not _is_primitive([-c % p, 1], p):  # c is not a primitive root
+        if any(pow(c, (p - 1) // l, p) == 1 for l in primes[0]):  # not a primitive root
             continue
         c0 = (-1) ** k * c % p
         for i in range(p ** (k - 1)):
             f = [c0] + [i // p**j % p for j in range(k - 1)] + [1]
-            if _is_primitive(f, p):
+            if _is_primitive(f, p, primes):
                 return f
     raise AssertionError("unreachable: primitive polynomials of every degree exist")
 
 
-@lru_cache(maxsize=4)
-def _field_logs(p: int, k: int):
-    """(exp, dlog, zech) for F = F_p[x]/(f), f = _primitive_poly(p, k), on
-    logs base x, n = p^k - 1 standing for zero: exp[l] is the code
-    sum c_j p^j of x^l = sum c_j x^j mod f (exp[n] = 0), so a constant of
-    F_p is its own code; dlog is its inverse and zech[d] = log(1 + x^d) for
-    d in [0, n).
+def _powers(f: Poly, p: int, m: int) -> np.ndarray:
+    """The coefficients of x^0 .. x^(m-1) mod f, for f monic of degree k,
+    as a (k, m) array: [j, l] is the coefficient of x^j in x^l.
 
-    digits[j, l] is the coefficient c_j of x^l.  The powers x^t .. x^(2t-1)
-    come from the first t by one multiplication by x^t, a linear map on
-    coefficient vectors: each new column is a sum of k column multiples,
-    reduced mod p.  The sums are at most k (p - 1)^2 < 2^31 for k >= 2 and
-    q <= ENUM_BOUND, so the columns are int32; a prime field (k = 1) keeps
-    its one column, whose products reach (p - 1)^2, in int64.
-    """
-    if p <= 3:
-        raise ValueError("log-table enumeration needs characteristic > 3")
-    n = p**k - 1
-
-    f = _primitive_poly(p, k)
-    digits = np.zeros((k, n), dtype=np.int64 if k == 1 else np.int32)
-    term = np.empty(n // 2 if k > 1 else 0, dtype=np.int32)
+    x^t .. x^(2t-1) come from the first t powers by one multiplication by
+    x^t, a linear map on coefficient vectors: each new column is a sum of k
+    column multiples, at most k (p - 1)^2, which sets the dtype, and is
+    then reduced mod p."""
+    k = len(f) - 1
+    digits = np.zeros((k, m), dtype=np.int32 if k * (p - 1) ** 2 < 2**31 else np.int64)
+    term = np.empty(m // 2, dtype=digits.dtype)
     digits[0, 0] = 1
     t, xt = 1, poly_mod([0, 1], f, p)  # xt = x^t mod f, t a power of 2
-    while t < n:
-        m = min(t, n - t)
+    while t < m:
+        s = min(t, m - t)
+        term_s = term[:s]
         # M[i] holds the coefficients of x^(t+i) mod f, so digit j of
         # x^(l+t) is the sum over i of digits[i, l] * M[i][j], mod p; each
         # row is the one before times x: shifted up, less its top times f
@@ -117,29 +117,79 @@ def _field_logs(p: int, k: int):
             row = M[-1]
             M.append([(lo - row[-1] * fj) % p for lo, fj in zip([0] + row[:-1], f)])
         for j in range(k):
-            col = digits[j, t : t + m]
-            np.multiply(digits[0, :m], M[0][j], out=col)
+            col = digits[j, t : t + s]
+            np.multiply(digits[0, :s], M[0][j], out=col)
             for i in range(1, k):
-                np.multiply(digits[i, :m], M[i][j], out=term[:m])
-                col += term[:m]
-            col %= p
-        t, xt = t + m, poly_mod(poly_mul(xt, xt, p), f, p)
-    exp = np.zeros(n + 1, dtype=np.int32)  # codes are below ENUM_BOUND
-    for j in reversed(range(k)):
-        exp[:n] *= p
-        exp[:n] += digits[j]
-    del digits, term
-    dlog = np.full(n + 1, -1, dtype=np.int32)
-    dlog[exp] = np.arange(n + 1, dtype=np.int32)
+                np.multiply(digits[i, :s], M[i][j], out=term_s)
+                col += term_s
+            # col %= p as col - (col // p) p: numpy divides by a scalar
+            # with libdivide, several times faster than its remainder
+            np.floor_divide(col, p, out=term_s)
+            term_s *= p
+            col -= term_s
+        t, xt = t + s, poly_mod(poly_mul(xt, xt, p), f, p)
+    return digits
+
+
+@lru_cache(maxsize=4)
+def _field_logs(p: int, k: int):
+    """(zech, logs) for F = F_p[x]/(f), f = _primitive_poly(p, k), on logs
+    base x, n = p^k - 1 standing for zero: zech[d] = log(1 + x^d) for d in
+    [0, n), and logs[c] the log of the constant c in [0, p).
+
+    An element sum c_j x^j has the code sum c_j p^j, so a constant is its
+    own code.  The primitive test fixed x^r = c, a primitive root of F_p,
+    for r = n/(p - 1), so x^(s r + i) = c^s x^i: the codes of the n powers
+    of x, exp, are a (p - 1) x r block whose digit j at (s, i) is
+    c^s d_j(i) mod p, d_j(i) the coefficient of x^j in x^i (_powers).  Its
+    inverse dlog on the codes gives zech by scattering dlog shifted by one
+    code, zech[dlog[v]] = dlog[v + 1], as 1 + x^d adds 1 to the constant
+    digit of the code v of x^d; the q/p codes whose constant digit wraps
+    from p - 1 to 0 are scattered again, to dlog[v + 1 - p].  Only zech and
+    the p logs of the constants are kept.
+
+    int32 suffices: for k >= 2, p^2 <= p^k <= ENUM_BOUND < 2^31 bounds each
+    product c^s d_j(i) and each code, and the Horner sum of the codes
+    stays between -p^2 and p^k; the digit columns of _powers, sums of at
+    most k (p - 1)^2, fit int32 at every such p and k.  A prime field
+    (k = 1) has x = c and exp the powers of c, which _powers keeps in int64
+    when (p - 1)^2 reaches 2^31.
+    """
+    if p <= 3:
+        raise ValueError("log-table enumeration needs characteristic > 3")
+    q = p**k
+    n = q - 1
+    f = _primitive_poly(p, k)
+    c = (-1) ** k * f[0] % p  # x^r = c
+    cs = _powers([-c % p, 1], p, p - 1)[0]  # c^s for s in [0, p - 1)
+    if k == 1:
+        exp = cs  # x = c
+    else:
+        digits = _powers(f, p, n // (p - 1))
+        exp = np.zeros((p - 1, digits.shape[1]), dtype=np.int32)
+        y = np.empty_like(exp)
+        for d in reversed(digits):
+            # Horner: exp p + (y mod p) = (exp - y // p) p + y for y = c^s d
+            np.multiply.outer(cs, d, out=y)
+            np.floor_divide(y, p, out=y)
+            exp -= y
+            exp *= p
+            np.multiply.outer(cs, d, out=y)
+            exp += y
+        del y
+    dlog = np.full(q, -1, dtype=np.int32)
+    dlog[exp.reshape(n)] = np.arange(n, dtype=np.int32)
+    dlog[0] = n
     if np.any(dlog < 0):
         raise AssertionError("powers of x do not cover the field")
-    # 1 + x^l adds 1 to the constant digit of x^l, which wraps from p - 1 to 0
-    plus1 = exp[:n] + 1
-    plus1[exp[:n] % p == p - 1] -= p
-    zech = dlog[plus1]
     if int(dlog[p - 1]) != n // 2:  # -1 has the code p - 1
         raise AssertionError("log(-1) mismatch")
-    return exp, dlog, zech
+    del exp
+    zech = np.empty(n + 1, dtype=np.int32)  # zech[n] = log(1 + 0) = 0
+    zech[dlog[:-1]] = dlog[1:]
+    wrap = dlog.reshape(q // p, p)
+    zech[wrap[:, -1]] = wrap[:, 0]
+    return zech[:n], dlog if k == 1 else dlog[:p].copy()
 
 
 class LogField:
@@ -150,19 +200,19 @@ class LogField:
     entries are read through memoryviews, so every element stays a Python
     int."""
 
-    __slots__ = ("char", "k", "n", "zero", "one", "exp", "zech", "_dlog", "_zech")
+    __slots__ = ("char", "k", "n", "zero", "one", "zech", "_logs", "_zech")
     log_form = True
 
     def __init__(self, p: int, k: int):
-        self.exp, dlog, self.zech = _field_logs(p, k)
+        self.zech, logs = _field_logs(p, k)
         self.char, self.k = p, k
         self.n = self.zero = self.zech.size
         self.one = 0
-        self._dlog = memoryview(dlog)
+        self._logs = memoryview(logs)
         self._zech = memoryview(self.zech)
 
     def from_int(self, c: int) -> int:
-        return self._dlog[c % self.char]
+        return self._logs[c % self.char]
 
     def add(self, a: int, b: int) -> int:
         n = self.n
@@ -222,6 +272,20 @@ def _log_curve(curve: Curve, k: int) -> Curve:
     return Curve(F, F.from_int(curve.a), F.from_int(curve.b))
 
 
+def _wrapped(start: int, length: int, step: int, n: int) -> np.ndarray:
+    """start + step i for i in [0, length), each less the multiple of n that
+    puts it in [-n, 0), as int32: valid negative indices into an array of n
+    entries, with no remainder taken.  The arange is shifted by n from each
+    point where it reaches 0, at most step * length / n + 1 slices."""
+    s = start % n - n
+    a = np.arange(s, s + step * length, step, dtype=np.int32)
+    w = -s  # a[i] >= 0 from i = ceil(w / step) on
+    while (i := -(-w // step)) < length:
+        a[i:] -= n
+        w += n
+    return a
+
+
 def _listed_points(E: Curve):
     """N = |E(F)| and a function that yields the affine points of E, a
     curve over LogField, lazily in row order: the y = 0 points, then one
@@ -229,42 +293,51 @@ def _listed_points(E: Curve):
 
     x = 0 (rhs = b) is listed apart; the arrays run over x = g^i, g the
     generator, i in [0, n).  With la = log a, x^2 + a = a (1 + g^(2i - la))
-    depends only on i mod n/2, so one wrapped gather of zech on n/2 entries
-    gives u = i + la + zech[2i - la], the log of x^3 + ax (3i when a = 0),
-    and a second, on u - lb reduced mod n in place, gives
-    r = lb + zech[u - lb], the log of the rhs (u when b = 0).  r is not
-    reduced mod n: n is even, so the squares are the even r, and
-    y = (r mod n)/2.  The few x with x^2 = -a or rhs = 0, where a gather
-    meets zero, are patched by index.
+    depends only on i mod n/2, so one gather of zech on n/2 entries gives
+    h = zech[2i - la] and u = i + la + h, the log of x^3 + ax (3i when
+    a = 0), and a second, at u - lb, gives r = lb + zech[u - lb], the log of
+    the rhs (u when b = 0).  Each gather index is kept in [-n, n), which
+    numpy reads modulo n: 2i - la lies there, and u - lb is h in [0, n]
+    plus a _wrapped progression in [-n, 0).  r is not reduced mod n: n is
+    even, so the squares are the even r, and y = (r mod n)/2.  The few x
+    with x^2 = -a or rhs = 0, where a gather meets zero, are patched by
+    index.  N counts the even r; the rows find them again block by block.
     """
     F = E.ctx
     zech = F.zech
     n = F.n
     half = n // 2
     la, lb = E.a, E.b
-    if la == n:
-        u, fix = np.arange(0, 3 * n, 3, dtype=np.int32), []
+    # u holds the second gather's index u - lb, or u itself when b = 0
+    if la == n:  # then b != 0, as y^2 = x^3 is singular
+        u, fix = _wrapped(-lb, n, 3, n), []
     else:
-        h = np.take(zech, np.arange(-la, n - la, 2), mode="wrap")
-        u = np.empty(n, dtype=np.int32)
-        np.add(h, np.arange(la, la + half, dtype=np.int32), out=u[:half])
-        np.add(u[:half], half, out=u[half:])
+        h = zech[np.arange(-la, n - la, 2)]
         # x^2 = -a, where x^3 + ax = 0 and u means nothing
         fix = [i for j in np.flatnonzero(h == n).tolist() for i in (j, j + half)]
+        s = la - (0 if lb == n else lb)
+        u = np.empty(n, dtype=np.int32)
+        np.add(h, _wrapped(s, half, 1, n), out=u[:half])
+        np.add(h, _wrapped(s + half, half, 1, n), out=u[half:])
+        del h
     if lb == n:
         r, zeros = u, fix
     else:
-        u -= lb
-        u %= n
         r = zech[u]
+        del u
         zeros = [i for i in np.flatnonzero(r == n).tolist() if i not in fix]
         r += lb
         r[fix] = lb
     r[zeros] = -1  # odd: no +-y pair
-    sq = np.flatnonzero((r & 1) == 0)
+    squares = n - int(np.count_nonzero(r & 1))
     x0 = ([n] if lb == n else []) + zeros  # y = 0; log n stands for x = 0
     x1 = [n] if lb < n and lb % 2 == 0 else []  # x = 0, b a nonzero square
     logs = memoryview(r)
+
+    def even_rows():
+        yield from x1
+        for start in range(0, n, _ROW_BLOCK):
+            yield from (start + np.flatnonzero((r[start : start + _ROW_BLOCK] & 1) == 0)).tolist()
 
     def rows():
         def y(i):
@@ -272,12 +345,12 @@ def _listed_points(E: Curve):
 
         for i in x0:
             yield i, n
-        for i in chain(x1, memoryview(sq)):
+        for i in even_rows():
             yield i, y(i)
-        for i in chain(x1, memoryview(sq)):
+        for i in even_rows():
             yield i, F.neg(y(i))
 
-    return 1 + len(x0) + 2 * (len(x1) + sq.size), rows
+    return 1 + len(x0) + 2 * (len(x1) + squares), rows
 
 
 def _log_order(curve: Curve, l: int, T) -> int:

@@ -1,11 +1,12 @@
 """Reference helpers that only the tests use: F_p[x]/(f) by schoolbook
-arithmetic, field elements in code order, the monic polynomial gcd,
-a curve's trace and a group's order, a pattern's allowed residues as a set,
-factoring by trial division, exhaustive point listing, the ordinary
-check, the Legendre symbol, polynomial evaluation, the counts of every
-curve over F_p, the pairwise pattern table, the paper's two valuation
-lemmas (lifting the exponent, binomial valuation), arithmetic in Z[delta],
-and the scalar action test on both coordinates."""
+arithmetic, the codes of the powers of x there, field elements in code
+order, the monic polynomial gcd, a curve's trace and a group's order, a
+pattern's allowed residues as a set, factoring by trial division,
+exhaustive point listing, the ordinary check, the Legendre symbol,
+polynomial evaluation, the counts of every curve over F_p, the pairwise
+pattern table, the paper's two valuation lemmas (lifting the exponent,
+binomial valuation), arithmetic in Z[delta], and the scalar action test
+on both coordinates."""
 
 import itertools
 
@@ -76,6 +77,23 @@ class PolyField:
 
     def __repr__(self) -> str:
         return f"PolyField({self.p}, {self.f})"
+
+
+def power_codes(R: PolyField):
+    """(exp, dlog) for a PolyField R on which x generates the units, the
+    oracle's log form by repeated multiplication by x: exp[l] is the code
+    of x^l for l in [0, q - 1), exp[q - 1] = 0 the code of zero, and dlog,
+    a list over the codes, is its inverse."""
+    x = R.reduce([0, 1])
+    exp, y = [], R.one
+    for _ in range(R.size - 1):
+        exp.append(R.encode(y))
+        y = R.mul(y, x)
+    exp.append(0)
+    dlog = [0] * R.size
+    for l, code in enumerate(exp):
+        dlog[code] = l
+    return exp, dlog
 
 
 def elements(ctx):

@@ -468,14 +468,14 @@ _CHILD_PEAK_RSS = (
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
 def test_oracle_memory_at_the_ceiling():
     # q^k = 1999^2 is the largest field under the 4e6 ceiling: both curves
-    # are listed there within 220 MiB (about 160 MiB on x86-64 Linux)
+    # are listed there within 150 MiB (about 75 MiB on x86-64 Linux)
     argv = ["oracle", "1999:1,1", "1999:1,1", "--kmax", "2", "--json"]
     run = _run_python("-c", _CHILD_PEAK_RSS, *argv, timeout=60)
     assert run.returncode == 0, run.stderr
     rows = json.loads(run.stdout)["oracle"]
     assert len(rows) == 2 and all(row["agree"] is True for row in rows)
     peak_kib = int(run.stderr.splitlines()[-1])
-    assert peak_kib < 220 * 1024, peak_kib
+    assert peak_kib < 150 * 1024, peak_kib
 
 
 def test_compare_kmax_ceiling(monkeypatch, capsys):

@@ -14,7 +14,6 @@ from isoclass.curve import (
 )
 from isoclass.enumeration import (
     LogField,
-    _field_logs,
     _is_primitive,
     _listed_points,
     _log_curve,
@@ -34,6 +33,7 @@ from helpers import (
     is_ordinary,
     legendre,
     points,
+    power_codes,
     trace,
     trial_factor,
 )
@@ -281,7 +281,8 @@ def _reference(F):
     modulo the same polynomial, and dec the map from a log of F to its
     element of R."""
     R = PolyField(F.char, _primitive_poly(F.char, F.k))
-    return R, lambda l: R.decode(int(F.exp[l]))
+    exp, _ = power_codes(R)
+    return R, lambda l: R.decode(exp[l])
 
 
 def _point(dec, pt):
@@ -395,29 +396,34 @@ def test_listed_points_match_sweep_seeded(p, k, kinds):
 
 
 def test_enum_bound_fits_int32_logs():
-    # the listing keeps logs of x^3 + ax + b unreduced, up to 3(q - 1), in
-    # int32 arrays, and exp holds field codes below ENUM_BOUND as int32
+    # the listing keeps logs of x^3 + ax + b unreduced, between -q and
+    # 3(q - 1), in int32 arrays
     assert 3 * enumeration.ENUM_BOUND < 2**31
 
 
 def test_enum_bound_fits_int32_digit_columns():
-    # _field_logs sums k products of base-p digits, each at most (p - 1)^2,
-    # in int32 columns for k >= 2; p is at most the k-th root of the bound
+    # for k >= 2, _field_logs forms each code of a power of x from the
+    # products c^s d of two digits, below p^2 < 2^31, into codes below
+    # p^k <= ENUM_BOUND, and _powers sums k such products, at most
+    # k (p - 1)^2, in int32 columns; p is at most the k-th root of the bound
+    assert enumeration.ENUM_BOUND < 2**31
     for k in range(2, enumeration.ENUM_BOUND.bit_length()):
         p = 1
         while (p + 1) ** k <= enumeration.ENUM_BOUND:
             p += 1
+        assert p**2 < 2**31 and p**k <= enumeration.ENUM_BOUND, k
         assert k * (p - 1) ** 2 < 2**31, k
 
 
 @pytest.mark.parametrize("p, k", [(13, 1), (101, 1), (7, 2), (5, 3), (11, 3)])
 def test_log_field_matches_field_seeded(p, k):
-    # every LogField operation, read back through exp and decode, is the
-    # field's own; zero (the log n) and -1 (the log n/2) are among the operands
+    # every LogField operation, read back through the reference powers of x
+    # and decode, is the field's own; zero (the log n) and -1 (the log n/2)
+    # are among the operands
     rng = random.Random(p**k)
     F = LogField(p, k)
     R, dec = _reference(F)
-    dlog = _field_logs(p, k)[1]
+    _, dlog = power_codes(R)
 
     minus1 = int(dlog[R.encode(R.neg(R.one))])
     assert (F.zero, minus1) == (F.n, F.n // 2) and F.n == R.size - 1
@@ -467,7 +473,13 @@ def test_group_structure_matches_naive_seeded():
     fields = [LogField(p, 1) for p in (37, 61, 97, 109)] + [LogField(5, 2), LogField(7, 2), LogField(5, 3)]
     # a prime field is its own reference, much faster than PolyField, as
     # each constant is its own code
-    refs = {F: (PrimeField(F.char), F.exp.item) if F.k == 1 else _reference(F) for F in fields}
+    refs = {}
+    for F in fields:
+        if F.k == 1:
+            exp, _ = power_codes(PolyField(F.char, _primitive_poly(F.char, 1)))
+            refs[F] = PrimeField(F.char), exp.__getitem__
+        else:
+            refs[F] = _reference(F)
     shapes = set()
     for _ in range(300):
         F = rng.choice(fields)
@@ -544,7 +556,8 @@ def test_primitive_poly_search_order():
 def test_generator_search_starts_at_p():
     # the log tables' base x = exp[1] is the first generator in code order
     # under the reference arithmetic: the smallest primitive root at k = 1,
-    # and at k >= 2 x itself, code p, as no constant generates F_q^*
+    # and at k >= 2 x itself, code p, as no constant generates F_q^*; at
+    # k = 1 the tables give that root the log 1
     for p, k in ((13, 1), (7, 2), (5, 3), (97, 2)):
         R = PolyField(p, _primitive_poly(p, k))
         n = R.size - 1
@@ -554,9 +567,10 @@ def test_generator_search_starts_at_p():
             for code in range(2, R.size)
             if all(R.pow(R.decode(code), n // l) != R.one for l in primes)
         )
-        exp, _, _ = _field_logs(p, k)
-        assert int(exp[1]) == first, (p, k)
+        exp, _ = power_codes(R)
+        assert exp[1] == first, (p, k)
         assert k == 1 or first == p, (p, k)
+        assert k > 1 or LogField(p, k).from_int(first) == 1, (p, k)
         gen = R.decode(first)
         y, order = gen, 1
         while y != R.one:

@@ -18,7 +18,7 @@ from isoclass.field import (
     poly_trim,
 )
 
-from helpers import elements, legendre, poly_eval, poly_gcd
+from helpers import PolyField, elements, legendre, poly_eval, poly_gcd, power_codes
 
 
 def test_is_prime_small():
@@ -261,14 +261,30 @@ def test_ext_field_arithmetic():
 
 
 def test_ext_field_encode_decode_roundtrip():
-    # exp decodes the logs 0 .. q - 1 (q - 1 standing for zero) onto every
-    # code of F_125 once, dlog encodes them back, and a constant is its own
-    # code
-    exp, dlog, _ = _field_logs(5, 3)
-    assert sorted(exp.tolist()) == list(range(125))
-    assert [int(dlog[c]) for c in exp] == list(range(125))
+    # the reference powers of x decode the logs 0 .. q - 1 (q - 1 standing
+    # for zero) onto every code of F_125 once, their inverse encodes them
+    # back, and a constant is its own code
+    exp, dlog = power_codes(PolyField(5, _primitive_poly(5, 3)))
+    assert sorted(exp) == list(range(125))
+    assert [dlog[c] for c in exp] == list(range(125))
     F = LogField(5, 3)
-    assert [int(exp[F.from_int(c)]) for c in range(5)] == list(range(5))
+    assert [exp[F.from_int(c)] for c in range(5)] == list(range(5))
+
+
+@pytest.mark.parametrize("p, k", [(5, 3), (7, 2), (11, 3), (13, 2), (101, 1), (13, 1)])
+def test_field_logs_match_reference(p, k):
+    # zech[d] = log(1 + x^d) for every d, and the log of every constant,
+    # against the powers of x by schoolbook multiplication modulo the same f
+    R = PolyField(p, _primitive_poly(p, k))
+    exp, dlog = power_codes(R)
+    zech, logs = _field_logs(p, k)
+    n = R.size - 1
+    assert zech.size == n and logs.size == p
+    want = [dlog[R.encode(R.add(R.one, R.decode(exp[d])))] for d in range(n)]
+    assert zech.tolist() == want
+    assert logs.tolist() == [dlog[c] for c in range(p)]
+    F = LogField(p, k)
+    assert [F.from_int(c) for c in range(p)] == [dlog[c] for c in range(p)]
 
 
 def test_ext_field_frobenius_fixed_field():

@@ -13,6 +13,7 @@ below).  JSON reports render every big integer as a decimal string.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -41,9 +42,14 @@ KMAX_BITS_LIMIT = 20000
 # number grows, and the step budget runs out in about 2.5 s at 256 bits (4q - 1
 # a product of two 129-bit primes) on a 2-core x86 host.
 PATTERN_Q_BITS = 256
-# Stands in for a pattern's allowed residues until _json_text writes them;
+# Stands in for a pattern's allowed residues until _write_json writes them;
 # a command-line argument cannot hold the NUL, so no input string equals it.
 _RESIDUES = "\0allowed residues"
+# Residues per block of _write_residues: k = 1000 P + s with P >= 1 prints as
+# str(P) then s in three digits.
+_BLOCK = 1000
+# between two residues, at the depth json.dumps(indent=2) puts them
+_SEP = '",\n      "'
 
 
 class CountMismatchError(ValueError):
@@ -91,10 +97,11 @@ def _frob_report(frob: FrobeniusData) -> dict:
 def _pattern_section(pattern: IsoPattern) -> tuple[dict, list[str]]:
     """The "primes" and "pattern" report entries and the text lines of a
     pattern.  "allowed" is null once the modulus exceeds ALLOWED_LIMIT, and
-    otherwise holds the pattern's `residues` method, which _json_text calls."""
+    otherwise holds the pattern itself, whose sieve _write_json writes out
+    as the list of allowed residues."""
     text = pattern_text(pattern)
     modulus = pattern.modulus
-    allowed = pattern.residues if modulus <= ALLOWED_LIMIT else None
+    allowed = pattern if modulus <= ALLOWED_LIMIT else None
     report = {
         "primes": [
             {"p": str(pa.p), "s": str(pa.s), "e": str(pa.e), "strict": pa.strict, "case": pa.case}
@@ -291,22 +298,65 @@ def cmd_oracle(args) -> tuple[dict, str]:
 # ---------------------------------------------------------------------------
 
 
-def _json_text(report: dict) -> str:
-    """json.dumps(report, indent=2), byte for byte.  The stdlib encoder
-    writes everything but a pattern's allowed residues, which stand in the
-    report as the pattern's `residues` method: those, O(modulus) of them,
-    are written in one join at the depth json.dumps puts them (items at 6
-    spaces, "]" at 4) and spliced in, not encoded one item at a time."""
-    block = ""
+def _write_json(report: dict) -> None:
+    """print(json.dumps(report, indent=2)), byte for byte, written to
+    sys.stdout in pieces.  The stdlib encoder writes everything but a
+    pattern's allowed residues, which stand in the report as the pattern
+    and are encoded as the marker _RESIDUES.  The text before the marker,
+    the residue list (_write_residues) and the text after it then go out in
+    turn, so neither the whole list nor a spliced copy of the report is
+    ever held."""
+    patterns = []
 
-    def write_residues(residues) -> str:
-        nonlocal block
-        items = '",\n      "'.join(map(str, residues()))
-        block = f'[\n      "{items}"\n    ]' if items else "[]"
+    def mark(pattern: IsoPattern) -> str:
+        patterns.append(pattern)
         return _RESIDUES
 
-    text = json.dumps(report, indent=2, default=write_residues)
-    return text.replace(json.dumps(_RESIDUES), block, 1)
+    text = json.dumps(report, indent=2, default=mark)
+    out = sys.stdout
+    if not patterns:
+        out.write(text + "\n")
+        return
+    head, tail = text.split(json.dumps(_RESIDUES), 1)
+    out.write(head)
+    _write_residues(patterns[0].sieve(), out)
+    out.write(tail + "\n")
+
+
+def _write_residues(sieve: bytearray, out) -> None:
+    """The k with sieve[k] set as the list json.dumps(indent=2) writes in a
+    pattern (items at 6 spaces, "]" at 4), written to out one block of
+    _BLOCK residues at a time.
+
+    Past block 0, a block's text is fixed by its mask, the slice of the
+    sieve it covers, up to the prefix str(P) of its index P.  A mask seen
+    the second time becomes a template, its residues as "\0%03d" joined by
+    the separator, and each block with that mask is then one str.replace.
+    The first sighting is formatted directly, so masks that never repeat
+    cost what one join over all the residues does."""
+    if sieve.find(1) < 0:
+        out.write("[]")
+        return
+    out.write('[\n      "')
+    templates = {}  # mask -> its template, or None when seen once
+    sep = ""
+    for start in range(0, len(sieve), _BLOCK):
+        mask = bytes(sieve[start : start + _BLOCK])
+        if start and mask in templates:
+            template = templates[mask]
+            if template is None:
+                suffixes = itertools.compress(range(len(mask)), mask)
+                template = templates[mask] = _SEP.join(["\0%03d" % s for s in suffixes])
+            block = template.replace("\0", str(start // _BLOCK))
+        else:
+            if start:
+                templates[mask] = None
+            block = _SEP.join(map(str, itertools.compress(range(start, start + len(mask)), mask)))
+        if block:
+            out.write(sep)
+            out.write(block)
+            sep = _SEP
+    out.write('"\n    ]')
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,7 +417,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(_json_text(report))
+        _write_json(report)
     else:
         print(text)
     return 0

@@ -45,6 +45,10 @@ from .quadorder import CapacityError, factorize, vp
 # log entries that the listing scans at a time for its square rows; the
 # Sylow bases read only the first few rows
 _ROW_BLOCK = 1 << 12
+# entries of the table build's scratch arrays, which serve one block of
+# columns at a time: the int64 sums of _powers that may pass 2^31, and the
+# logs that _field_logs scatters into dlog
+_SCRATCH = 1 << 18
 
 
 def _is_primitive(f: Poly, p: int, primes=None) -> bool:
@@ -95,20 +99,22 @@ def _primitive_poly(p: int, k: int) -> Poly:
 
 def _powers(f: Poly, p: int, m: int) -> np.ndarray:
     """The coefficients of x^0 .. x^(m-1) mod f, for f monic of degree k,
-    as a (k, m) array: [j, l] is the coefficient of x^j in x^l.
+    as an int32 (k, m) array: [j, l] is the coefficient of x^j in x^l.
 
     x^t .. x^(2t-1) come from the first t powers by one multiplication by
     x^t, a linear map on coefficient vectors: each new column is a sum of k
-    column multiples, at most k (p - 1)^2, which sets the dtype, and is
-    then reduced mod p."""
+    column multiples, then reduced mod p.  The sums, at most k (p - 1)^2,
+    are formed in place when they fit int32, and otherwise in int64
+    scratch of at most _SCRATCH entries."""
     k = len(f) - 1
-    digits = np.zeros((k, m), dtype=np.int32 if k * (p - 1) ** 2 < 2**31 else np.int64)
-    term = np.empty(m // 2, dtype=digits.dtype)
+    wide = k * (p - 1) ** 2 >= 2**31
+    digits = np.zeros((k, m), dtype=np.int32)
+    term = np.empty(min(m // 2, _SCRATCH), dtype=np.int64 if wide else np.int32)
+    acc = np.empty_like(term) if wide else None
     digits[0, 0] = 1
     t, xt = 1, poly_mod([0, 1], f, p)  # xt = x^t mod f, t a power of 2
     while t < m:
         s = min(t, m - t)
-        term_s = term[:s]
         # M[i] holds the coefficients of x^(t+i) mod f, so digit j of
         # x^(l+t) is the sum over i of digits[i, l] * M[i][j], mod p; each
         # row is the one before times x: shifted up, less its top times f
@@ -116,17 +122,23 @@ def _powers(f: Poly, p: int, m: int) -> np.ndarray:
         for _ in range(1, k):
             row = M[-1]
             M.append([(lo - row[-1] * fj) % p for lo, fj in zip([0] + row[:-1], f)])
-        for j in range(k):
-            col = digits[j, t : t + s]
-            np.multiply(digits[0, :s], M[0][j], out=col)
-            for i in range(1, k):
-                np.multiply(digits[i, :s], M[i][j], out=term_s)
-                col += term_s
-            # col %= p as col - (col // p) p: numpy divides by a scalar
-            # with libdivide, several times faster than its remainder
-            np.floor_divide(col, p, out=term_s)
-            term_s *= p
-            col -= term_s
+        for lo in range(0, s, _SCRATCH):
+            hi = min(lo + _SCRATCH, s)
+            term_b = term[: hi - lo]
+            for j in range(k):
+                col = digits[j, t + lo : t + hi]
+                sum_b = acc[: hi - lo] if wide else col
+                np.multiply(digits[0, lo:hi], M[0][j], out=sum_b, dtype=term.dtype)
+                for i in range(1, k):
+                    np.multiply(digits[i, lo:hi], M[i][j], out=term_b, dtype=term.dtype)
+                    sum_b += term_b
+                # sum_b %= p as sum_b - (sum_b // p) p: numpy divides by a
+                # scalar with libdivide, several times faster than its remainder
+                np.floor_divide(sum_b, p, out=term_b)
+                term_b *= p
+                sum_b -= term_b
+                if wide:
+                    col[:] = sum_b
         t, xt = t + s, poly_mod(poly_mul(xt, xt, p), f, p)
     return digits
 
@@ -152,8 +164,8 @@ def _field_logs(p: int, k: int):
     product c^s d_j(i) and each code, and the Horner sum of the codes
     stays between -p^2 and p^k; the digit columns of _powers, sums of at
     most k (p - 1)^2, fit int32 at every such p and k.  A prime field
-    (k = 1) has x = c and exp the powers of c, which _powers keeps in int64
-    when (p - 1)^2 reaches 2^31.
+    (k = 1) has x = c and exp the powers of c, each below p; _powers forms
+    their products in int64 scratch when (p - 1)^2 reaches 2^31.
     """
     if p <= 3:
         raise ValueError("log-table enumeration needs characteristic > 3")
@@ -178,13 +190,15 @@ def _field_logs(p: int, k: int):
             exp += y
         del y
     dlog = np.full(q, -1, dtype=np.int32)
-    dlog[exp.reshape(n)] = np.arange(n, dtype=np.int32)
+    codes = exp.reshape(n)
+    for lo in range(0, n, _SCRATCH):  # no arange of the field's size
+        dlog[codes[lo : lo + _SCRATCH]] = np.arange(lo, min(lo + _SCRATCH, n), dtype=np.int32)
     dlog[0] = n
     if np.any(dlog < 0):
         raise AssertionError("powers of x do not cover the field")
     if int(dlog[p - 1]) != n // 2:  # -1 has the code p - 1
         raise AssertionError("log(-1) mismatch")
-    del exp
+    del exp, cs, codes
     zech = np.empty(n + 1, dtype=np.int32)  # zech[n] = log(1 + 0) = 0
     zech[dlog[:-1]] = dlog[1:]
     wrap = dlog.reshape(q // p, p)

@@ -161,18 +161,23 @@ class IsoPattern:
             return 1
         return math.lcm(2, *self.not_dividing)
 
-    def residues(self):
-        """The allowed residues k mod modulus in ascending order (0 standing
-        for k = modulus), read off a sieve over the residues: every rule's
-        divisor divides the modulus.  Costs O(modulus), so ask only when the
-        modulus is small."""
+    def sieve(self) -> bytearray:
+        """sieve[k] = 1 when k mod modulus is allowed, else 0, for k in
+        [0, modulus) (0 standing for k = modulus): every rule's divisor
+        divides the modulus, so each rule clears one arithmetic progression.
+        Costs O(modulus), so ask only when the modulus is small."""
         m = self.modulus
         sieve = bytearray([1]) * m
         if self.even:
             sieve[1::2] = bytes(len(range(1, m, 2)))
         for d in self.not_dividing:
             sieve[::d] = bytes(len(range(0, m, d)))
-        return itertools.compress(range(m), sieve)
+        return sieve
+
+    def residues(self):
+        """The allowed residues k mod modulus in ascending order, read off
+        the sieve."""
+        return itertools.compress(range(self.modulus), self.sieve())
 
 
 def iso_pattern(inp: ComparisonInput) -> IsoPattern:

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import itertools
 import json
 import math
@@ -213,6 +215,31 @@ def test_json_bytes_are_stdlib_json(capsys):
     assert allowed["modulus 1000000006"] is None
 
 
+@pytest.mark.parametrize("even, not_dividing", [
+    (False, ()),  # modulus 1
+    (False, (1,)),  # none
+    (False, (999,)), (False, (1000,)), (False, (1001,)),
+    (True, (2999,)), (False, (3000,)), (True, (3001,)),
+    (True, (499999,)),
+    (False, (3, 4, 5, 7)),
+    (False, (3, 4, 5, 7, 11, 13)),
+    (True, (499, 1001)),  # modulus 998998: blocks rarely repeat a mask
+    (False, (10**6,)),  # modulus ALLOWED_LIMIT
+], ids=lambda v: str(v))
+def test_write_residues_is_one_join(even, not_dividing):
+    # the block writer, by templates past block 0, writes what one join
+    # over every residue would, at the depth json.dumps(indent=2) puts it
+    pat = IsoPattern(even, not_dividing)
+    assert pat.modulus <= cli.ALLOWED_LIMIT
+    items = '",\n      "'.join(map(str, pat.residues()))
+    want = f'[\n      "{items}"\n    ]' if items else "[]"
+    out = io.StringIO()
+    cli._write_residues(pat.sieve(), out)
+    got = out.getvalue()
+    same = got == want  # a bool, so a failure does not diff megabytes
+    assert same, next((i, got[i - 20 : i + 20]) for i, (x, y) in enumerate(zip(got + "$", want)) if x != y)
+
+
 def test_oracle_command(capsys):
     assert main(["oracle", "5:1,1", "5:1,4", "--kmax", "4", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -233,6 +260,10 @@ def test_exit_code_invalid_input(capsys):
     assert main(["pattern", "--q", "1", "--trace", "1", "--g", "1", "--g2", "1"]) == 2
     err = capsys.readouterr().err
     assert "q = 15 is not a prime power" in err
+    # psi_12, a strong pseudoprime to the prime bases 2..37, is no prime power
+    psi12 = "318665857834031151167461"
+    assert main(["pattern", "--q", psi12, "--trace", "1", "--g", "1", "--g2", "1"]) == 2
+    assert f"q = {psi12} is not a prime power" in capsys.readouterr().err
     # a prime power that is not prime stays valid
     assert main(["pattern", "--q", "1062961", "--trace", "-1342", "--g", "1", "--g2", "4"]) == 0
     capsys.readouterr()
@@ -476,6 +507,22 @@ def test_oracle_memory_at_the_ceiling():
     assert len(rows) == 2 and all(row["agree"] is True for row in rows)
     peak_kib = int(run.stderr.splitlines()[-1])
     assert peak_kib < 150 * 1024, peak_kib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
+def test_pattern_json_memory_at_the_allowed_limit():
+    # modulus 999982 lists 999980 residues, 15.9 MB of stdout, written a
+    # block at a time: under 40 MiB (about 17 MiB on x86-64 Linux; 101 MiB
+    # when the list was joined and spliced whole), and the same bytes
+    run = _run_python("-c", _CHILD_PEAK_RSS, *_JSON_CASES["modulus 999982"], "--json")
+    assert run.returncode == 0, run.stderr
+    stdout = run.stdout.encode()
+    assert len(stdout) == 15889080
+    assert hashlib.sha256(stdout).hexdigest() == (
+        "d22595ccb3eaa174b50011c2c50d520970d073a0bab14f3fb01de800c79c2562"
+    )
+    peak_kib = int(run.stderr.splitlines()[-1])
+    assert peak_kib < 40 * 1024, peak_kib
 
 
 def test_compare_kmax_ceiling(monkeypatch, capsys):

@@ -1,14 +1,18 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from isoclass import field
 from isoclass.enumeration import LogField, _field_logs, _primitive_poly
 from isoclass.field import (
     PACK_MIN_PRODUCT,
     PACK_THRESHOLD,
     PrimeField,
     Reducer,
+    _strong_lucas,
     is_prime,
     poly_divmod,
     poly_invmod,
@@ -19,6 +23,10 @@ from isoclass.field import (
 )
 
 from helpers import PolyField, elements, legendre, poly_eval, poly_gcd, power_codes
+
+# the smallest strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
 
 
 def test_is_prime_small():
@@ -33,6 +41,25 @@ def test_is_prime_large():
     assert is_prime(3329) and is_prime(1031)
     # strong pseudoprime to several small bases
     assert not is_prime(3215031751)
+    # psi_12 passes Miller-Rabin to the 12 prime bases 2..37, psi_13 to the
+    # 13 bases 2..41 (Sorenson and Webster, Math. Comp. 86, 2017)
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI_12) and not is_prime(PSI_13)
+    assert is_prime(2**89 - 1) and is_prime(2**521 - 1)
+
+
+def test_strong_lucas_alone():
+    # Selfridge's method A accepts exactly the primes and the strong Lucas
+    # pseudoprimes (OEIS A217255) among the odd n < 60000
+    pseudoprimes = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519}
+    composite = bytearray(60000)
+    for d in range(3, 245, 2):
+        composite[d * d :: 2 * d] = b"\1" * len(range(d * d, 60000, 2 * d))
+    primes = {n for n in range(3, 60000, 2) if not composite[n]}
+    assert {n for n in range(3, 60000, 2) if _strong_lucas(n)} == primes | pseudoprimes
+    assert not _strong_lucas(PSI_12) and not _strong_lucas(PSI_13)
+    assert _strong_lucas(2**89 - 1) and _strong_lucas(2**127 - 1)
 
 
 def test_legendre():
@@ -97,6 +124,29 @@ def test_poly_mul_matches_schoolbook():
                     ref.pop()
                 assert poly_mul(x, y, p) == ref, (p, len(x), len(y))
     assert widths == {1, 2, 3, 4, 5}
+
+
+def test_poly_mul_by_one_coefficient_above_2_32_stays_schoolbook(monkeypatch):
+    # from p = 2^32 on, a one-coefficient operand already needs two-word
+    # slots and its product is faster schoolbook; below, and with two
+    # coefficients, the product still packs
+    packed = field._poly_mul_packed
+    calls = []
+
+    def spy(a, b, p):
+        calls.append((len(a), len(b), p))
+        return packed(a, b, p)
+
+    monkeypatch.setattr(field, "_poly_mul_packed", spy)
+    rng = random.Random(17)
+    for p in (2**32 - 5, 2**32 + 15, 999999999989):
+        long = [rng.randrange(p) for _ in range(1403)] + [p - 1]
+        c, two = [rng.randrange(1, p)], [rng.randrange(p), p - 1]
+        for x, y in ((c, long), (long, c)):
+            assert poly_mul(x, y, p) == [v * c[0] % p for v in long]
+        assert poly_mul(two, long, p) == packed(two, long, p)
+    assert calls == [(1, 1404, 2**32 - 5), (1404, 1, 2**32 - 5), (2, 1404, 2**32 - 5),
+                     (2, 1404, 2**32 + 15), (2, 1404, 999999999989)]
 
 
 def test_poly_divmod_roundtrip():
@@ -285,6 +335,28 @@ def test_field_logs_match_reference(p, k):
     assert logs.tolist() == [dlog[c] for c in range(p)]
     F = LogField(p, k)
     assert [F.from_int(c) for c in range(p)] == [dlog[c] for c in range(p)]
+
+
+def test_field_logs_prime_field_above_int32_products():
+    # at k = 1 and p > 46341 the powers of c need 64-bit products but are
+    # kept in int32, in scratch of a block at a time: the build's traced
+    # peak is under 48 MB (about 36 MB; 64 MB with int64 powers) for the
+    # 32 MB of tables it keeps.  Spot checks against pow: logs[c^e] = e and
+    # zech[e] = log(1 + c^e)
+    p = 3999971
+    tracemalloc.start()
+    try:
+        zech, logs = _field_logs.__wrapped__(p, 1)  # not from the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48e6, peak
+    assert zech.dtype == logs.dtype == np.int32 and (zech.size, logs.size) == (p - 1, p)
+    c = -_primitive_poly(p, 1)[0] % p
+    rng = random.Random(p)
+    for e in [0, 1, (p - 1) // 2, p - 2] + [rng.randrange(p - 1) for _ in range(200)]:
+        assert logs[pow(c, e, p)] == e
+        assert zech[e] == logs[(pow(c, e, p) + 1) % p]
 
 
 def test_ext_field_frobenius_fixed_field():

@@ -329,29 +329,26 @@ def _write_residues(sieve: bytearray, out) -> None:
     _BLOCK residues at a time.
 
     Past block 0, a block's text is fixed by its mask, the slice of the
-    sieve it covers, up to the prefix str(P) of its index P.  A mask seen
-    the second time becomes a template, its residues as "\0%03d" joined by
-    the separator, and each block with that mask is then one str.replace.
-    The first sighting is formatted directly, so masks that never repeat
-    cost what one join over all the residues does."""
+    sieve it covers, up to the prefix str(P) of its index P.  Each mask
+    gets a template the first time it is seen, its residues as "\0%03d"
+    joined by the separator, and every block with that mask is then one
+    str.replace."""
     if sieve.find(1) < 0:
         out.write("[]")
         return
     out.write('[\n      "')
-    templates = {}  # mask -> its template, or None when seen once
+    templates = {}  # mask -> its template
     sep = ""
     for start in range(0, len(sieve), _BLOCK):
         mask = bytes(sieve[start : start + _BLOCK])
-        if start and mask in templates:
-            template = templates[mask]
+        if start == 0:
+            block = _SEP.join(map(str, itertools.compress(range(len(mask)), mask)))
+        else:
+            template = templates.get(mask)
             if template is None:
                 suffixes = itertools.compress(range(len(mask)), mask)
                 template = templates[mask] = _SEP.join(["\0%03d" % s for s in suffixes])
             block = template.replace("\0", str(start // _BLOCK))
-        else:
-            if start:
-                templates[mask] = None
-            block = _SEP.join(map(str, itertools.compress(range(start, start + len(mask)), mask)))
         if block:
             out.write(sep)
             out.write(block)

@@ -166,9 +166,7 @@ PACK_THRESHOLD = 32
 # Products with len(a) * len(b) at least this large go through Kronecker
 # packing, whose fixed cost is a few microseconds; smaller ones, those
 # modulo the oracle's primitive polynomials among them (degree k <= 9),
-# stay schoolbook.  So does a product by one coefficient once p >= 2^32,
-# where its slots take two words (1 x 1404 at p = 999999999989: 318 us
-# schoolbook, 395 us packed, on a 2-core x86 host).
+# stay schoolbook.
 PACK_MIN_PRODUCT = 128
 # Byte j of a little-endian run of 64-bit words sits at index j ^ _FLIP of
 # the same words in native order.
@@ -213,10 +211,8 @@ def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
     """a * b for coefficients in [0, p)."""
     if not a or not b:
         return []
-    if len(a) * len(b) >= PACK_MIN_PRODUCT and (p >> 32 == 0 or min(len(a), len(b)) > 1):
+    if len(a) * len(b) >= PACK_MIN_PRODUCT:
         return _poly_mul_packed(a, b, p)
-    if len(a) > len(b):
-        a, b = b, a  # the shorter operand in the outer loop
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:

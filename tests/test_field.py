@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isoclass import field
 from isoclass.enumeration import LogField, _field_logs, _primitive_poly
 from isoclass.field import (
     PACK_MIN_PRODUCT,
@@ -124,29 +123,6 @@ def test_poly_mul_matches_schoolbook():
                     ref.pop()
                 assert poly_mul(x, y, p) == ref, (p, len(x), len(y))
     assert widths == {1, 2, 3, 4, 5}
-
-
-def test_poly_mul_by_one_coefficient_above_2_32_stays_schoolbook(monkeypatch):
-    # from p = 2^32 on, a one-coefficient operand already needs two-word
-    # slots and its product is faster schoolbook; below, and with two
-    # coefficients, the product still packs
-    packed = field._poly_mul_packed
-    calls = []
-
-    def spy(a, b, p):
-        calls.append((len(a), len(b), p))
-        return packed(a, b, p)
-
-    monkeypatch.setattr(field, "_poly_mul_packed", spy)
-    rng = random.Random(17)
-    for p in (2**32 - 5, 2**32 + 15, 999999999989):
-        long = [rng.randrange(p) for _ in range(1403)] + [p - 1]
-        c, two = [rng.randrange(1, p)], [rng.randrange(p), p - 1]
-        for x, y in ((c, long), (long, c)):
-            assert poly_mul(x, y, p) == [v * c[0] % p for v in long]
-        assert poly_mul(two, long, p) == packed(two, long, p)
-    assert calls == [(1, 1404, 2**32 - 5), (1404, 1, 2**32 - 5), (2, 1404, 2**32 - 5),
-                     (2, 1404, 2**32 + 15), (2, 1404, 999999999989)]
 
 
 def test_poly_divmod_roundtrip():

@@ -35,7 +35,7 @@ _SPEC_RE = re.compile(r"^(\d+):(-?\d+),(-?\d+)$")
 ALLOWED_LIMIT = 10**6  # largest modulus whose allowed residues a report lists
 # Largest kmax * q.bit_length() that compare --kmax tabulates.  tau^k has
 # about k * q.bit_length() / 2 bits, so the gcd test's cost grows with both;
-# at the limit it answers in about 1.2 s (q = 7, kmax 6666; 1.3 s at q near
+# at the limit it answers in about 0.6 s (q = 7, kmax 6666; 0.9 s at q near
 # 10^18, kmax 333, most of it the point count) on a 2-core x86 host.
 KMAX_BITS_LIMIT = 20000
 # Largest bit length of q that pattern takes: a rho step costs more as the

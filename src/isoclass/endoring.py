@@ -69,6 +69,13 @@ def division_polys(curve: Curve, ns: Iterable[int]) -> dict[int, Poly]:
         ),
     }
 
+    squares: dict[int, Poly] = {}  # psi~_k^2, each formed once
+
+    def square(k: int) -> Poly:
+        if k not in squares:
+            squares[k] = poly_mul(psi[k], psi[k], p)
+        return squares[k]
+
     def build(n: int) -> None:
         if n in psi:
             return
@@ -77,16 +84,14 @@ def division_polys(curve: Curve, ns: Iterable[int]) -> dict[int, Poly]:
             build(k)
         if n % 2 == 0:
             inner = poly_sub(
-                poly_mul(psi[m + 2], poly_mul(psi[m - 1], psi[m - 1], p), p),
-                poly_mul(psi[m - 2], poly_mul(psi[m + 1], psi[m + 1], p), p),
+                poly_mul(psi[m + 2], square(m - 1), p),
+                poly_mul(psi[m - 2], square(m + 1), p),
                 p,
             )
             psi[n] = poly_mul(psi[m], inner, p)
         else:
-            cube_m = poly_mul(psi[m], poly_mul(psi[m], psi[m], p), p)
-            cube_m1 = poly_mul(psi[m + 1], poly_mul(psi[m + 1], psi[m + 1], p), p)
-            t1 = poly_mul(psi[m + 2], cube_m, p)
-            t2 = poly_mul(psi[m - 1], cube_m1, p)
+            t1 = poly_mul(psi[m + 2], poly_mul(psi[m], square(m), p), p)
+            t2 = poly_mul(psi[m - 1], poly_mul(psi[m + 1], square(m + 1), p), p)
             if m % 2 == 0:
                 psi[n] = poly_sub(poly_mul(f2_16, t1, p), t2, p)
             else:

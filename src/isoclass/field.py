@@ -161,8 +161,10 @@ class PrimeField:
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over F_p
 
-# A Reducer divides by multiplying once its quotients are this long.
-PACK_THRESHOLD = 32
+# A Reducer divides by multiplying once its modulus has a degree above
+# this: at degree 12 schoolbook division is still the faster, at 24
+# (psi~_7) it takes twice as long (pow x^p and four reductions, p < 2^32).
+PACK_THRESHOLD = 12
 # Products with len(a) * len(b) at least this large go through Kronecker
 # packing, whose fixed cost is a few microseconds; smaller ones, those
 # modulo the oracle's primitive polynomials among them (degree k <= 9),
@@ -207,34 +209,43 @@ def poly_scale(a: Poly, c: int, p: int) -> Poly:
     return poly_trim([ai * c % p for ai in a])
 
 
-def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
-    """a * b for coefficients in [0, p)."""
+def poly_mul(a: Poly, b: Poly, p: int, keep: int | None = None) -> Poly:
+    """a * b for coefficients in [0, p); with keep, only its low part
+    a * b mod x^keep."""
+    if keep is not None:  # no coefficient from keep up reaches below keep
+        a, b = a[:keep], b[:keep]
     if not a or not b:
         return []
     if len(a) * len(b) >= PACK_MIN_PRODUCT:
-        return _poly_mul_packed(a, b, p)
+        return _poly_mul_packed(a, b, p, keep)
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
-    return poly_trim([c % p for c in out])
+    return poly_trim([c % p for c in out[:keep]])
 
 
-def _poly_mul_packed(a: Poly, b: Poly, p: int) -> Poly:
+def _poly_mul_packed(a: Poly, b: Poly, p: int, keep: int | None = None) -> Poly:
     # Kronecker substitution: pack coefficients into one big integer per
     # operand so the convolution becomes a single bignum multiply.  Slots of
-    # s bytes hold min(len) * (p-1)^2 without carries.  A square packs its
-    # operand once.  Packing and unpacking are strided byte copies between
-    # s-byte slots and 64-bit words, so the only Python work per coefficient
-    # is joining its words and reducing mod p.
+    # s bytes hold min(len) * (p-1)^2 without carries, so the low keep slots
+    # of the product are the low keep coefficients, and masking the others
+    # off before unpacking spares their copies and reductions.  A square
+    # packs its operand once.  Packing and unpacking are strided byte copies
+    # between s-byte slots and 64-bit words, so the only Python work per
+    # coefficient is joining its words and reducing mod p.
     s = ((min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 7) // 8
     pa = _pack(a, s, p)
     pb = pa if b is a else _pack(b, s, p)
     n = len(a) + len(b) - 1
+    prod = pa * pb
+    if keep is not None and keep < n:
+        n = keep
+        prod &= (1 << (8 * s * n)) - 1
     w = (s + 7) // 8  # words per slot
-    raw = (pa * pb).to_bytes(n * s, "little")
+    raw = prod.to_bytes(n * s, "little")
     words = bytearray(8 * w * n)
     for j in range(s):
         words[j ^ _FLIP :: 8 * w] = raw[j::s]
@@ -304,11 +315,13 @@ class Reducer:
     """Remainders modulo a fixed modulus m of degree n in F_p[x].
 
     For n > PACK_THRESHOLD it holds inv = rev(m)^-1 mod x^(n-1), found once
-    by Newton iteration, and reduces a dividend of degree <= 2n - 2 with two
-    packed multiplies: the quotient q is rev(a) * inv mod x^(deg a - n + 1)
-    read backwards, the remainder a - q*m (von zur Gathen & Gerhard, Modern
-    Computer Algebra, section 9.1).  Longer dividends lose one top block of
-    2n - 1 coefficients at a time.  Smaller moduli keep schoolbook division.
+    by Newton iteration (_inverse_series), and reduces a dividend of degree
+    <= 2n - 2 with two truncated products: the quotient q is the low
+    deg a - n + 1 coefficients of rev(a) * inv read backwards, and the
+    remainder is a - q*m taken mod x^n, since the coefficients from x^n up
+    cancel (von zur Gathen & Gerhard, Modern Computer Algebra, section 9.1).
+    Longer dividends lose one top block of 2n - 1 coefficients at a time.
+    Smaller moduli keep schoolbook division.
     """
 
     __slots__ = ("m", "p", "n", "inv")
@@ -339,38 +352,54 @@ class Reducer:
     def pow(self, base: Poly, e: int) -> Poly:
         """base^e mod m for e >= 0, squaring and multiplying from the most
         significant bit down, so every multiply is by the reduced base,
-        cheap when that is short, like x or x^3 + ax + b."""
+        cheap when that is short, like x^3 + ax + b.  A reduced base of x
+        multiplies by a shift, less one multiple of m when the degree
+        reaches n."""
         if e == 0:
             return [1]
-        p, red = self.p, self.reduce
+        p, red, m = self.p, self.reduce, self.m
         base = red(poly_trim([c % p for c in base]))
+        by_x = base == [0, 1]
+        lead_inv = pow(m[-1], p - 2, p)
         result = base
         for bit in bin(e)[3:]:
             result = red(poly_mul(result, result, p))
-            if bit == "1":
+            if bit == "0":
+                continue
+            if not by_x:
                 result = red(poly_mul(result, base, p))
+            elif len(result) < self.n:
+                result = poly_trim([0] + result)
+            else:  # x * result has degree n: take off the multiple of m that cancels it
+                c = result[-1] * lead_inv % p
+                result = poly_trim([(x - c * y) % p for x, y in zip([0] + result[:-1], m)])
         return result
 
     def _reduce_block(self, a: Poly) -> Poly:
         # n < len(a) <= 2n - 1 and a[-1] != 0; returns n coefficients
         n, p = self.n, self.p
         k = len(a) - n  # length of the quotient
-        rev_q = poly_mul(a[: n - 1 : -1], self.inv[:k], p)[:k]
+        rev_q = poly_mul(a[: n - 1 : -1], self.inv, p, k)
         q = [0] * (k - len(rev_q)) + rev_q[::-1]
-        qm = poly_mul(q, self.m, p)
-        return [(x - y) % p for x, y in zip(a[:n], qm[:n])]
+        qm = poly_mul(q, self.m, p, n)
+        qm += [0] * (n - len(qm))
+        return [(x - y) % p for x, y in zip(a, qm)]
 
 
 def _inverse_series(f: Poly, k: int, p: int) -> Poly:
-    """f^-1 mod x^k for f[0] != 0, by Newton iteration g <- 2g - f g^2,
-    which doubles the number of correct coefficients each step."""
-    g = [pow(f[0], p - 2, p)]
-    prec = 1
-    while prec < k:
-        prec = min(2 * prec, k)
-        fg = poly_mul(f[:prec], g, p)[:prec]
-        g = poly_sub(poly_scale(g, 2, p), poly_mul(g, fg, p)[:prec], p)
-    return g
+    """f^-1 mod x^k for f[0] != 0, by Newton iteration, which doubles the
+    number of correct coefficients each step.  If g = f^-1 mod x^h, then
+    f g = 1 + x^h e (mod x^2h), and g - x^h (g e mod x^h) is f^-1 mod x^2h:
+    each step forms only e and the new half, from two truncated products."""
+    g = [pow(f[0], p - 2, p)]  # f^-1 mod x^h, h coefficients with any zeros at the top
+    h = 1
+    while h < k:
+        prec = min(2 * h, k)
+        e = poly_mul(f, g, p, prec)[h:]
+        ge = poly_mul(g, e, p, prec - h)
+        g += [-c % p for c in ge] + [0] * (prec - h - len(ge))
+        h = prec
+    return poly_trim(g)
 
 
 def poly_powmod(base: Poly, e: int, m: Poly, p: int) -> Poly:

@@ -76,8 +76,20 @@ def gcd_criterion(inp: ComparisonInput, k: int) -> bool:
 
 
 def gcd_table(inp: ComparisonInput, kmax: int) -> list[bool]:
-    """gcd_criterion(inp, k) for k = 1..kmax, stepping tau^k once per k."""
-    return [_gcd_test(inp, ak, bk) for ak, bk in inp.frob.powers(kmax)]
+    """gcd_criterion(inp, k) for k = 1..kmax, stepping tau^k once per k.
+
+    One gcd per k is on the full-size a_k - 1: G = gcd(a_k - 1, b_k/d) with
+    d = gcd(g, g').  Both b_k/g and b_k/g' divide b_k/d, so
+    gcd(a_k - 1, b_k/g) = gcd(G, b_k/g), and likewise for g'."""
+    g, g2 = inp.g, inp.g2
+    d = math.gcd(g, g2)
+    out = []
+    for ak, bk in inp.frob.powers(kmax):
+        if bk % g or bk % g2:
+            raise AssertionError("b_k lost divisibility by the conductors")
+        G = math.gcd(ak - 1, bk // d)
+        out.append(math.gcd(G, bk // g) == math.gcd(G, bk // g2))
+    return out
 
 
 @lru_cache(maxsize=128)

@@ -160,6 +160,16 @@ def test_pattern_command_large_prime(capsys):
     assert out["pattern"] == {"modulus": "1000000006", "allowed": None, "text": "500000003 ∤ k"}
 
 
+def _assert_same_text(got: str, want: str, context=None) -> None:
+    """got == want, compared as one bool.  A mismatch reports the first
+    differing offset, the text around it on both sides and both lengths,
+    where a plain == assert would have pytest diff megabytes of output."""
+    if got != want:
+        first = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+        around = slice(max(first - 20, 0), first + 20)
+        raise AssertionError((context, first, got[around], want[around], len(got), len(want)))
+
+
 def _stdlib_json(stdout: str) -> str:
     """The report in stdout as json.dumps(indent=2) writes it, with "allowed"
     rebuilt from pattern_eval over k = 1..modulus."""
@@ -208,7 +218,7 @@ def test_json_bytes_are_stdlib_json(capsys):
     for name, argv in cases.items():
         assert main(argv + ["--json"]) == 0, argv
         out = capsys.readouterr().out
-        assert out == _stdlib_json(out), argv
+        _assert_same_text(out, _stdlib_json(out), argv)
         allowed[name] = json.loads(out)["pattern"]["allowed"]
     assert allowed["modulus 1"] == ["0"] and allowed["none"] == [] and allowed["k odd"] == ["1"]
     assert len(allowed["modulus 999982"]) == 999980  # all but 0 and 499991
@@ -235,10 +245,7 @@ def test_write_residues_is_one_join(even, not_dividing):
     want = f'[\n      "{items}"\n    ]' if items else "[]"
     out = io.StringIO()
     cli._write_residues(pat.sieve(), out)
-    got = out.getvalue()
-    same = got == want  # a bool, so a failure does not diff megabytes
-    first = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
-    assert same, (first, got[max(first - 20, 0) : first + 20], len(got), len(want))
+    _assert_same_text(out.getvalue(), want)
 
 
 def test_oracle_command(capsys):

@@ -11,6 +11,8 @@ from isoclass.field import (
     PACK_THRESHOLD,
     PrimeField,
     Reducer,
+    _inverse_series,
+    _poly_mul_packed,
     _strong_lucas,
     is_prime,
     poly_divmod,
@@ -123,6 +125,67 @@ def test_poly_mul_matches_schoolbook():
                     ref.pop()
                 assert poly_mul(x, y, p) == ref, (p, len(x), len(y))
     assert widths == {1, 2, 3, 4, 5}
+
+
+def test_truncated_products_are_the_low_part():
+    # poly_mul(..., keep) and the packed product's mask give the full
+    # product cut to its low keep coefficients: slots of 1 to 5 words, p
+    # above 2^64 (packed without machine words), keep below, at and past the
+    # product's length, and keep shorter than an operand
+    rng = random.Random(24)
+    shapes = [(1, 1), (1, 300), (2, 64), (11, 12), (40, 40), (7, 1404), (57, 3), (700, 1404)]
+    primes = [5, 257, 2909, 1000003, 999999999989, 2**64 - 59, 2**64 + 13, 2**127 - 1]
+    widths = set()
+    for p in primes:
+        for la, lb in shapes:
+            widths.add(((min(la, lb) * (p - 1) ** 2).bit_length() + 63) // 64)
+            a = [rng.randrange(p) for _ in range(la)]
+            b = [rng.randrange(p) for _ in range(lb)]
+            full = poly_mul(a, b, p)
+            n = la + lb - 1
+            keeps = {1, 2, min(la, lb), max(la, lb), n - 1, n, n + 5, rng.randrange(1, n + 1)}
+            for keep in sorted(keeps):
+                want = poly_trim(full[:keep])
+                assert poly_mul(a, b, p, keep) == want, (p, la, lb, keep)
+                assert _poly_mul_packed(a, b, p, keep) == want, (p, la, lb, keep)
+    assert widths == {1, 2, 3, 4, 5}
+
+
+def test_inverse_series():
+    # f g = 1 mod x^k with deg g < k, which fixes g; k on both sides of
+    # each doubling, and the length of a full quotient at psi~_53
+    rng = random.Random(25)
+    ks = {1, 2, 3, 1403} | {2**j + d for j in range(2, 11) for d in (-1, 1)}
+    for p in (5, 2909, 999999999989, 2**64 + 13):
+        for k in sorted(ks):
+            f = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(k + rng.randrange(3))]
+            g = _inverse_series(f, k, p)
+            assert len(g) <= k and g == poly_trim(g[:]), (p, k)
+            assert poly_trim(poly_mul(f, g, p)[:k]) == [1], (p, k)
+    # a series whose inverse has zeros at the top: (1 - x)^-1 = 1 + x + ...,
+    # so 1 - x + x^2 - x^3 + ... inverts to 1 + x
+    p = 101
+    assert _inverse_series([1 if i % 2 == 0 else p - 1 for i in range(40)], 33, p) == [1, 1]
+
+
+def test_reducer_pow_of_x_is_repeated_multiply():
+    # x^e by the shift equals x times x^(e-1), reduced by schoolbook
+    # division, at every e up to 2^j - 1 (every bit set), for moduli with a
+    # leading coefficient other than 1, schoolbook and Barrett; and for
+    # lead * x^n, where x^e becomes 0 from e = n on
+    rng = random.Random(26)
+    for p, n, j in ((5, 1, 11), (2909, 2, 11), (2909, PACK_THRESHOLD - 1, 11),
+                    (1000003, PACK_THRESHOLD, 11), (2**61 - 1, PACK_THRESHOLD + 1, 11),
+                    (2**64 + 13, PACK_THRESHOLD + 1, 9), (2909, 1404, 11)):
+        moduli = [_random_poly(rng, n, p), [0] * n + [rng.randrange(2, p)]]
+        for m in moduli:
+            assert m[-1] != 1
+            red = Reducer(m, p)
+            acc = poly_mod([1], m, p)
+            for e in range(1, 2**j):
+                acc = poly_divmod(poly_mul(acc, [0, 1], p), m, p)[1]
+                if e & (e + 1) == 0 or e == n:
+                    assert red.pow([0, 1], e) == acc, (p, n, e)
 
 
 def test_poly_divmod_roundtrip():

@@ -261,6 +261,40 @@ def _divisors(n):
     return sorted(out)
 
 
+def test_gcd_table_matches_gcd_criterion_seeded():
+    # the table's one gcd on b_k / gcd(g, g') per k, against the per-k
+    # reference, over seeded classes (prime and prime-power q) until every
+    # kind of conductor pair has come up a few times
+    rng = random.Random(24)
+    fields = [q for q in range(5, 3000) if len(factorize(q)) == 1 and q % 2]
+    kinds_wanted = ["equal", "divides", "coprime", "2-adic, v_2(b) = 1", "2-adic, v_2(b) >= 2"]
+    seen = dict.fromkeys(kinds_wanted, 0)
+    K = 40
+    while min(seen.values()) < 6:
+        q = rng.choice(fields)
+        t = rng.randrange(-math.isqrt(4 * q - 1), math.isqrt(4 * q - 1) + 1)
+        if math.gcd(t, q) != 1:
+            continue
+        frob = frobenius_from_trace(q, t)
+        divs = _divisors(frob.b)
+        g, g2 = rng.choice(divs), rng.choice(divs)
+        kinds = []
+        if g == g2:
+            kinds.append("equal")
+        elif g2 % g == 0:
+            kinds.append("divides")
+        elif math.gcd(g, g2) == 1 and g > 1 and g2 > 1:
+            kinds.append("coprime")
+        if vp(g, 2) != vp(g2, 2):
+            kinds.append("2-adic, v_2(b) = 1" if vp(frob.b, 2) == 1 else "2-adic, v_2(b) >= 2")
+        if not kinds or all(seen[kind] >= 6 for kind in kinds):
+            continue
+        inp = ComparisonInput(frob, g, g2)
+        assert gcd_table(inp, K) == [gcd_criterion(inp, k) for k in range(1, K + 1)], (q, t, g, g2)
+        for kind in kinds:
+            seen[kind] += 1
+
+
 def test_three_criteria_agree_random_classes():
     rng = random.Random(8)
     primes = [q for q in range(5, 4000) if all(q % d for d in range(2, int(q**0.5) + 1))]

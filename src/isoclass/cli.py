@@ -18,7 +18,7 @@ import json
 import re
 import sys
 
-from .curve import ENUM_BOUND, CapacityError, Curve
+from .curve import COUNT_BOUND, CapacityError, Curve, _check_enum_ceiling
 from .endoring import conductor
 from .field import PrimeField
 from .isomorphy import (
@@ -62,6 +62,10 @@ def parse_curve_spec(spec: str) -> Curve:
     if not m:
         raise ValueError(f"bad curve spec {spec!r}, expected '<q>:<A>,<B>'")
     q, a, b = (int(g) for g in m.groups())
+    # every subcommand counts points: refuse before the primality test, which
+    # takes seconds at a thousand digits and over a minute at four thousand
+    if q > COUNT_BOUND:
+        raise CapacityError(f"q = {q} exceeds the point-count bound {COUNT_BOUND}")
     return Curve(PrimeField(q), a, b)
 
 
@@ -94,26 +98,37 @@ def _frob_report(frob: FrobeniusData) -> dict:
     }
 
 
-def _pattern_section(pattern: IsoPattern) -> tuple[dict, list[str]]:
-    """The "primes" and "pattern" report entries and the text lines of a
-    pattern.  "allowed" is null once the modulus exceeds ALLOWED_LIMIT, and
-    otherwise holds the pattern itself, whose sieve _write_json writes out
-    as the list of allowed residues."""
+def _pattern_report(echo: dict, inp: ComparisonInput, pattern: IsoPattern) -> tuple[dict, list[str]]:
+    """The report of a comparison's pattern, with echo as its "input", and
+    the text lines it ends with: tau, the conductors, one line per prime and
+    the answer.  "allowed" is null once the modulus exceeds ALLOWED_LIMIT,
+    and otherwise holds the pattern itself, whose sieve _write_json writes
+    out as the list of allowed residues."""
     text = pattern_text(pattern)
     modulus = pattern.modulus
-    allowed = pattern if modulus <= ALLOWED_LIMIT else None
     report = {
+        "input": echo,
+        "frobenius": _frob_report(inp.frob),
+        "conductors": [str(inp.g), str(inp.g2)],
         "primes": [
             {"p": str(pa.p), "s": str(pa.s), "e": str(pa.e), "strict": pa.strict, "case": pa.case}
             for pa in pattern.per_prime
         ],
-        "pattern": {"modulus": str(modulus), "allowed": allowed, "text": text},
+        "pattern": {
+            "modulus": str(modulus),
+            "allowed": pattern if modulus <= ALLOWED_LIMIT else None,
+            "text": text,
+        },
     }
     lines = [
-        f"p = {pa.p}: s = {pa.s}, e = {pa.e}, strict = {'yes' if pa.strict else 'no'}, case = {pa.case}"
-        for pa in pattern.per_prime
+        _frob_text(inp.frob),
+        f"conductors g = {inp.g}, g' = {inp.g2}",
+        *(
+            f"p = {pa.p}: s = {pa.s}, e = {pa.e}, strict = {'yes' if pa.strict else 'no'}, case = {pa.case}"
+            for pa in pattern.per_prime
+        ),
+        f"isomorphic over F_(q^k) iff: {text}",
     ]
-    lines.append(f"isomorphic over F_(q^k) iff: {text}")
     return report, lines
 
 
@@ -167,50 +182,34 @@ def _parse_pair(spec_a: str, spec_b: str) -> tuple[Curve, Curve]:
     return ea, eb
 
 
-def _comparison_setup(ea: Curve, eb: Curve):
+def _comparison_setup(ea: Curve, eb: Curve) -> tuple[int, ComparisonInput]:
     na, nb = ea.count_points(), eb.count_points()
     if na != nb:
         raise CountMismatchError(f"point counts differ: {na} != {nb}")
     q = ea.ctx.p
     frob = frobenius_from_trace(q, q + 1 - na)
-    ga, gb = conductor(ea, frob), conductor(eb, frob)
-    inp = ComparisonInput(frob, ga, gb)
-    return na, frob, inp
+    return na, ComparisonInput(frob, conductor(ea, frob), conductor(eb, frob))
 
 
-def _comparison_report(args, inp: ComparisonInput, count: int, pattern: IsoPattern) -> tuple[dict, list[str]]:
-    section, pattern_lines = _pattern_section(pattern)
-    report = {
-        "input": {
-            "curve_a": args.curve_a,
-            "curve_b": args.curve_b,
-            "count": str(count),
-        },
-        "frobenius": _frob_report(inp.frob),
-        "conductors": [str(inp.g), str(inp.g2)],
-        **section,
-    }
-    lines = [
+def _comparison_report(args, count: int, inp: ComparisonInput, pattern: IsoPattern) -> tuple[dict, list[str]]:
+    echo = {"curve_a": args.curve_a, "curve_b": args.curve_b, "count": str(count)}
+    report, lines = _pattern_report(echo, inp, pattern)
+    header = [
         f"comparing over F_{inp.frob.q}, common count {count}",
         f"  E : {args.curve_a}",
         f"  E': {args.curve_b}",
-        _frob_text(inp.frob),
-        f"conductors g = {inp.g}, g' = {inp.g2}",
-        *pattern_lines,
     ]
-    return report, lines
+    return report, header + lines
 
 
 def cmd_compare(args) -> tuple[dict, str]:
     if args.kmax < 0:
         raise ValueError(f"--kmax must be >= 0, got {args.kmax}")
-    count, frob, inp = _comparison_setup(*_parse_pair(args.curve_a, args.curve_b))
-    if args.kmax * frob.q.bit_length() > KMAX_BITS_LIMIT:
-        raise CapacityError(
-            f"--kmax {args.kmax} times the {frob.q.bit_length()} bits of q exceeds {KMAX_BITS_LIMIT}"
-        )
-    pattern = iso_pattern(inp)
-    report, lines = _comparison_report(args, inp, count, pattern)
+    count, inp = _comparison_setup(*_parse_pair(args.curve_a, args.curve_b))
+    bits = inp.frob.q.bit_length()
+    if args.kmax * bits > KMAX_BITS_LIMIT:
+        raise CapacityError(f"--kmax {args.kmax} times the {bits} bits of q exceeds {KMAX_BITS_LIMIT}")
+    report, lines = _comparison_report(args, count, inp, iso_pattern(inp))
     if args.kmax:
         per_k = [{"k": str(k), "iso": iso} for k, iso in enumerate(gcd_table(inp, args.kmax), 1)]
         report["per_k"] = per_k
@@ -223,25 +222,9 @@ def cmd_compare(args) -> tuple[dict, str]:
 def cmd_pattern(args) -> tuple[dict, str]:
     if args.q >= 1 << PATTERN_Q_BITS:
         raise CapacityError(f"q has {args.q.bit_length()} bits, over the pattern ceiling of {PATTERN_Q_BITS}")
-    frob = frobenius_from_trace(args.q, args.trace)
-    inp = ComparisonInput(frob, args.g, args.g2)
-    section, pattern_lines = _pattern_section(iso_pattern(inp))
-    report = {
-        "input": {
-            "q": str(args.q),
-            "trace": str(args.trace),
-            "g": str(args.g),
-            "g2": str(args.g2),
-        },
-        "frobenius": _frob_report(frob),
-        "conductors": [str(args.g), str(args.g2)],
-        **section,
-    }
-    lines = [
-        _frob_text(frob),
-        f"conductors g = {args.g}, g' = {args.g2}",
-        *pattern_lines,
-    ]
+    inp = ComparisonInput(frobenius_from_trace(args.q, args.trace), args.g, args.g2)
+    echo = {"q": str(args.q), "trace": str(args.trace), "g": str(args.g), "g2": str(args.g2)}
+    report, lines = _pattern_report(echo, inp, iso_pattern(inp))
     return report, "\n".join(lines)
 
 
@@ -249,17 +232,13 @@ def cmd_oracle(args) -> tuple[dict, str]:
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
     ea, eb = _parse_pair(args.curve_a, args.curve_b)
-    # the ceiling needs q and kmax only, so it refuses before any point is
-    # counted; q >= 2, so q^k > ENUM_BOUND once k >= ENUM_BOUND.bit_length():
-    # no huge power
-    q = ea.ctx.p
-    if args.kmax >= ENUM_BOUND.bit_length() or q**args.kmax > ENUM_BOUND:
-        raise CapacityError(f"field size {q}^{args.kmax} exceeds the enumeration ceiling {ENUM_BOUND}")
-    count, frob, inp = _comparison_setup(ea, eb)
+    # the ceiling needs q and kmax only, so it refuses before any point is counted
+    _check_enum_ceiling(ea.ctx.p, args.kmax)
+    count, inp = _comparison_setup(ea, eb)
     pattern = iso_pattern(inp)
     from . import enumeration  # numpy loads only for the oracle
 
-    report, lines = _comparison_report(args, inp, count, pattern)
+    report, lines = _comparison_report(args, count, inp, pattern)
     rows = []
     all_agree = True
     for k in range(1, args.kmax + 1):
@@ -393,26 +372,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: main parses every call with it
+_PARSER = build_parser()
+
+
+# the exit code of each error main reports, the first matching entry winning:
+# SupersingularError and CountMismatchError are ValueErrors
+_EXIT_CODES = {SupersingularError: 3, CountMismatchError: 4, CapacityError: 5, ValueError: 2}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         report, text = args.func(args)
-    except SupersingularError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CountMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     if args.json:
         _write_json(report)
     else:

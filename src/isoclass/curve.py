@@ -25,6 +25,13 @@ CONDUCTOR_BOUND = 211  # largest prime power c the conductor's scalar test takes
 ENUM_BOUND = 4 * 10**6
 
 
+def _check_enum_ceiling(q: int, k: int) -> None:
+    """Raises CapacityError for q^k > ENUM_BOUND.  q >= 2, so q^k exceeds it
+    once k >= ENUM_BOUND.bit_length(), which is tested first: no huge power."""
+    if k >= ENUM_BOUND.bit_length() or q**k > ENUM_BOUND:
+        raise CapacityError(f"field size {q}^{k} exceeds the enumeration ceiling {ENUM_BOUND}")
+
+
 class SingularCurveError(ValueError):
     """4a^3 + 27b^2 = 0: the cubic has a repeated root."""
 

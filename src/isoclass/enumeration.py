@@ -38,9 +38,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import ENUM_BOUND, Curve, GroupStructure
+from .curve import Curve, GroupStructure, _check_enum_ceiling
 from .field import Poly, poly_mod, poly_mul, poly_powmod
-from .quadorder import CapacityError, factorize, vp
+from .quadorder import factorize, vp
 
 # log entries that the listing scans at a time for its square rows; the
 # Sylow bases read only the first few rows
@@ -279,9 +279,7 @@ def _log_curve(curve: Curve, k: int) -> Curve:
     p = curve.ctx.p
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
-    # p >= 5, so p^k > ENUM_BOUND once k >= ENUM_BOUND.bit_length(): no huge power
-    if k >= ENUM_BOUND.bit_length() or p**k > ENUM_BOUND:
-        raise CapacityError(f"field size {p}^{k} exceeds the enumeration ceiling {ENUM_BOUND}")
+    _check_enum_ceiling(p, k)
     F = LogField(p, k)
     return Curve(F, F.from_int(curve.a), F.from_int(curve.b))
 

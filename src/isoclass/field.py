@@ -103,25 +103,15 @@ def _strong_lucas(n: int) -> bool:
 class PrimeField:
     """Arithmetic context for F_p.  Elements are canonical ints in [0, p)."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "char")
     log_form = False  # elements are not logs (see enumeration.LogField)
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    @property
-    def char(self) -> int:
-        return self.p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+        self.p = self.char = p
 
     def from_int(self, n: int) -> int:
         return n % self.p

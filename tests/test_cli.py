@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import itertools
@@ -12,7 +13,7 @@ import time
 
 import pytest
 
-from isoclass import cli, curve, enumeration
+from isoclass import cli, curve, enumeration, field
 from isoclass.cli import (
     KMAX_BITS_LIMIT,
     PATTERN_Q_BITS,
@@ -318,6 +319,22 @@ def test_exit_code_count_bound(monkeypatch, capsys):
     assert "point-count bound" in capsys.readouterr().err
 
 
+def test_spec_above_count_bound_skips_primality(monkeypatch, capsys):
+    # every subcommand counts points, so a spec's q above COUNT_BOUND is
+    # refused before the primality test: that test took 1.3 s on the
+    # 1000-digit prime 10^999 + 7, and one of its 13 Miller-Rabin rounds
+    # takes 6 s at 4300 digits (2-core x86 host)
+    def no_test(n):
+        raise AssertionError(f"primality test of a {len(str(n))}-digit q")
+
+    monkeypatch.setattr(field, "is_prime", no_test)
+    q = str(10**999 + 7)
+    assert main(["analyze", f"{q}:1,1"]) == 5
+    assert main(["compare", f"{q}:1,1", "5:1,1", "--kmax", "3"]) == 5
+    assert main(["oracle", f"{q}:1,1", f"{q}:1,2", "--kmax", "1"]) == 5
+    assert capsys.readouterr().err.count("exceeds the point-count bound 1000000000000000000") == 3
+
+
 def test_each_curve_counted_once(monkeypatch, capsys):
     counts = []
     mestre = curve._count_mestre
@@ -335,12 +352,12 @@ def test_each_curve_counted_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def _run_python(*args, timeout=60):
+def _run_python(*args, timeout=60, input=None):
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, *args],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=env, capture_output=True, text=True, timeout=timeout, input=input,
     )
 
 
@@ -554,3 +571,129 @@ def test_usage_error_is_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    # the parser is built once, when the module loads; main only parses
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["pattern", "--q", "1031", "--trace", "-20", "--g", "7", "--g2", "2"]) == 0
+    assert main(["analyze", "5:1,1", "--json"]) == 0
+    assert main(["frobnicate"]) == 2
+    assert built == []
+    capsys.readouterr()
+
+
+def test_pattern_and_compare_agree(example, capsys):
+    # pattern on a pair's raw (q, t, g, g') data reports what compare
+    # derives from the two curves: the same blocks, and the same text after
+    # compare's three header lines
+    for i, j in itertools.combinations(range(len(example.curves)), 2):
+        specs = [f"{example.q}:{a},{b}" for a, b in (example.curves[i], example.curves[j])]
+        raw = ["--q", str(example.q), "--trace", str(example.t)]
+        raw += ["--g", str(example.conductors[i]), "--g2", str(example.conductors[j])]
+        reports, texts = [], []
+        for argv in (["compare", *specs], ["pattern", *raw]):
+            assert main(argv + ["--json"]) == 0, argv
+            reports.append(json.loads(capsys.readouterr().out))
+            assert main(argv) == 0, argv
+            texts.append(capsys.readouterr().out.splitlines())
+        for key in ("frobenius", "conductors", "primes", "pattern"):
+            assert reports[0][key] == reports[1][key], (specs, key)
+        assert texts[0][3:] == texts[1], specs
+
+
+# curve-spec field sizes: small primes, the sweep's last primes around 229,
+# 1999^2 < ENUM_BOUND < 2003^2, prime powers and composites, a prime above
+# COUNT_BOUND and a 1000-digit prime
+_FUZZ_SPEC_Q = [
+    2, 3, 5, 7, 13, 97, 227, 229, 233, 1031, 1999, 2003, 3329, 9, 25, 15, 1062961,
+    curve.COUNT_BOUND + 3, 10**999 + 7,
+]
+# pattern --q: small, prime-power and composite q, q with a factor above
+# 10^6 of b, the 256-bit ceiling on both sides, and 1000-digit q
+_FUZZ_PATTERN_Q = [
+    0, 1, 2, 3, 4, 5, 8, 9, 15, 27, 1031, 3329, 1062961, 999966001733, 24750000346500001213,
+    2**PATTERN_Q_BITS - 1, 2**PATTERN_Q_BITS, 10**999, 10**999 + 7,
+]
+_FUZZ_BAD_SPECS = ["", "5", "5:1", "5:1,1,1", "x:1,1", "5:a,1", "-5:1,1", "5:1;1", "5:0,0", "5:0,1"]
+
+
+def _fuzz_spec(rng, q):
+    if rng.random() < 0.15:
+        return rng.choice(_FUZZ_BAD_SPECS)
+    if q > 10**6:
+        return f"{q}:{rng.randrange(10**6)},1"
+    return f"{q}:{rng.randrange(-q, 2 * q)},{rng.randrange(q)}"
+
+
+def _fuzz_kmax(rng, near):
+    """A --kmax: negative, 0, small, around near (the largest the ceiling
+    lets through) or huge."""
+    return str(rng.choice([-(10**30), -1, 0, 1, 2, 3, near - 1, near, near + 1, 10**30, 10**999]))
+
+
+def _fuzz_argv(rng) -> list[str]:
+    command = rng.choice(["analyze", "compare", "pattern", "oracle"])
+    if command == "pattern":
+        q = rng.choice(_FUZZ_PATTERN_Q)
+        w = math.isqrt(4 * q)
+        t = rng.choice([0, 1, -1, 2, rng.randrange(-w - 2, w + 3), w, w + 1, 10**40])
+        g = [1, 2, 3, 4, 5, 7, 13, 25, 0, -1, 999983, 10**40]
+        argv = [command, "--q", str(q), "--trace", str(t), "--g", str(rng.choice(g)), "--g2", str(rng.choice(g))]
+    else:
+        q = rng.choice(_FUZZ_SPEC_Q)
+        argv = [command, _fuzz_spec(rng, q)]
+        if command != "analyze":
+            argv.append(argv[1] if rng.random() < 0.3 else _fuzz_spec(rng, q))
+        if command == "compare" and rng.random() < 0.7:
+            argv += ["--kmax", _fuzz_kmax(rng, KMAX_BITS_LIMIT // q.bit_length())]
+        elif command == "oracle":
+            k = 1
+            while q ** (k + 1) <= curve.ENUM_BOUND:
+                k += 1
+            argv += ["--kmax", _fuzz_kmax(rng, k)]
+    if rng.random() < 0.5:
+        argv.append("--json")
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(["--bogus", "-h", "--kmax", "7"]))
+    return argv
+
+
+# answers each argv list read from stdin through cli.main, and writes
+# [exit code or traceback, stderr] for each
+_FUZZ_CHILD = (
+    "import contextlib, io, json, sys, traceback\n"
+    "from isoclass import cli\n"
+    "results = []\n"
+    "for argv in json.load(sys.stdin):\n"
+    "    err = io.StringIO()\n"
+    "    try:\n"
+    "        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+    "            code = cli.main(argv)\n"
+    "    except Exception:\n"
+    "        code = traceback.format_exc()\n"
+    "    results.append([code, err.getvalue()])\n"
+    "json.dump(results, sys.stdout)\n"
+)
+
+
+def test_cli_fuzz_seeded():
+    # seeded argv over the four subcommands, all answered in one process
+    # under one timeout: each ends in a documented exit code, with no
+    # traceback, and the draws reach every code
+    rng = random.Random(25)
+    draws = [_fuzz_argv(rng) for _ in range(1000)]
+    run = _run_python("-c", _FUZZ_CHILD, input=json.dumps(draws), timeout=30)
+    assert run.returncode == 0, run.stderr
+    results = json.loads(run.stdout)
+    assert len(results) == len(draws)
+    for argv, (code, err) in zip(draws, results):
+        assert code in (0, 2, 3, 4, 5) and "Traceback" not in err, (argv, code, err)
+    assert {code for code, _ in results} == {0, 2, 3, 4, 5}

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from isoclass import enumeration
+from isoclass import curve, enumeration
 from isoclass.curve import (
     SWEEP_BOUND,
     CapacityError,
@@ -398,7 +398,7 @@ def test_listed_points_match_sweep_seeded(p, k, kinds):
 def test_enum_bound_fits_int32_logs():
     # the listing keeps logs of x^3 + ax + b unreduced, between -q and
     # 3(q - 1), in int32 arrays
-    assert 3 * enumeration.ENUM_BOUND < 2**31
+    assert 3 * curve.ENUM_BOUND < 2**31
 
 
 def test_enum_bound_fits_int32_digit_columns():
@@ -406,12 +406,12 @@ def test_enum_bound_fits_int32_digit_columns():
     # products c^s d of two digits, below p^2 < 2^31, into codes below
     # p^k <= ENUM_BOUND, and _powers sums k such products, at most
     # k (p - 1)^2, in int32 columns; p is at most the k-th root of the bound
-    assert enumeration.ENUM_BOUND < 2**31
-    for k in range(2, enumeration.ENUM_BOUND.bit_length()):
+    assert curve.ENUM_BOUND < 2**31
+    for k in range(2, curve.ENUM_BOUND.bit_length()):
         p = 1
-        while (p + 1) ** k <= enumeration.ENUM_BOUND:
+        while (p + 1) ** k <= curve.ENUM_BOUND:
             p += 1
-        assert p**2 < 2**31 and p**k <= enumeration.ENUM_BOUND, k
+        assert p**2 < 2**31 and p**k <= curve.ENUM_BOUND, k
         assert k * (p - 1) ** 2 < 2**31, k
 
 
@@ -585,7 +585,7 @@ def test_primitive_poly_every_enum_field():
         if not is_prime(p):
             continue
         k = 1
-        while p**k <= enumeration.ENUM_BOUND:
+        while p**k <= curve.ENUM_BOUND:
             f = _primitive_poly(p, k)
             assert len(f) == k + 1 and f[-1] == 1, (p, k)
             assert _has_order_q_minus_1(f, p), (p, k)
@@ -600,7 +600,7 @@ def test_capacity_error(monkeypatch):
     def no_tables(p, k):
         raise AssertionError("tables built past ENUM_BOUND")
 
-    monkeypatch.setattr(enumeration, "ENUM_BOUND", 100)
+    monkeypatch.setattr(curve, "ENUM_BOUND", 100)
     e = Curve(PrimeField(97), 1, 1)
     assert group_order(group_structure(e, 1)) == e.count_points()
     monkeypatch.setattr(enumeration, "_field_logs", no_tables)

@@ -379,6 +379,7 @@ _PARSER = build_parser()
 # the exit code of each error main reports, the first matching entry winning:
 # SupersingularError and CountMismatchError are ValueErrors
 _EXIT_CODES = {SupersingularError: 3, CountMismatchError: 4, CapacityError: 5, ValueError: 2}
+DISAGREEMENT_EXIT = 6  # oracle: enumeration and pattern differ at some degree
 
 
 def main(argv=None) -> int:
@@ -395,7 +396,7 @@ def main(argv=None) -> int:
         _write_json(report)
     else:
         print(text)
-    return 0
+    return DISAGREEMENT_EXIT if not all(row["agree"] for row in report.get("oracle", ())) else 0
 
 
 if __name__ == "__main__":

@@ -173,11 +173,16 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
 
 def conductor(curve: Curve, frob: FrobeniusData) -> int:
     """Conductor g of End(E) inside the maximal order, via the scalar action
-    test at growing prime powers: v_p(g) = v_p(b) - (largest i passing)."""
+    test at growing prime powers: v_p(g) = v_p(b) - (largest i passing).
+    Raises CapacityError before any test when a prime of b exceeds
+    CONDUCTOR_BOUND, as the test at that prime would."""
     if curve.count_points() != frob.q + 1 - frob.t:
         raise ValueError("curve's point count does not match the Frobenius data")
+    primes = sorted(factorize(frob.b).items())
+    if primes and primes[-1][0] > CONDUCTOR_BOUND:
+        raise CapacityError(f"prime {primes[-1][0]} of b exceeds the conductor bound {CONDUCTOR_BOUND}")
     g = 1
-    for p, vb in sorted(factorize(frob.b).items()):
+    for p, vb in primes:
         i = 0
         # passes are downward closed in i, so stop at the first failure
         while i < vb and scalar_action_test(curve, frob, p ** (i + 1)):

@@ -13,12 +13,13 @@ base x (in [0, q-2]) and zero is the log q - 1.  The test that finds f
 also fixes x^r = c, a primitive root of F_p, for r = (q - 1)/(p - 1), so
 the powers of x are the products c^s x^i with i < r.  The tables are
 built once per field from that block: the k int32 digit columns of
-x^0 .. x^(r-1), doubled by column-wise numpy passes, times the powers of c
-give the code of every power, and one scatter of its inverse gives the
-Zech logarithm table zech[d] = log(1 + x^d).  Only zech and the logs of
-the p constants are kept.  Multiplication is log addition and addition is
-one Zech lookup, so LogField gives Curve its arithmetic at the cost of a
-few integer operations.
+x^0 .. x^(r-1), doubled by column-wise numpy passes, give the logs of the
+r - 1 monic elements of degree >= 1, and as 1 + c^s x^i differs from
+c^s x^i in the constant digit only, each entry of the Zech logarithm
+table zech[d] = log(1 + x^d) is one lookup there plus a multiple of r.
+Only zech and the logs of the p constants are kept.  Multiplication is
+log addition and addition is one Zech lookup, so LogField gives Curve its
+arithmetic at the cost of a few integer operations.
 
 The listing is vectorized with numpy: x^3 + ax + b over every x is two
 gathers of zech, and its log is even exactly for the nonzero squares,
@@ -45,10 +46,10 @@ from .quadorder import factorize, vp
 # log entries that the listing scans at a time for its square rows; the
 # Sylow bases read only the first few rows
 _ROW_BLOCK = 1 << 12
-# entries of the table build's scratch arrays, which serve one block of
-# columns at a time: the int64 sums of _powers that may pass 2^31, and the
-# logs that _field_logs scatters into dlog
-_SCRATCH = 1 << 18
+# entries of the table build's scratch arrays, each serving one block at a
+# time: the int64 sums of _powers that may pass 2^31, the blocks of the Zech
+# grid that _field_logs fills, and the prime field's logs
+_SCRATCH = 1 << 16
 
 
 def _is_primitive(f: Poly, p: int, primes=None) -> bool:
@@ -147,63 +148,90 @@ def _powers(f: Poly, p: int, m: int) -> np.ndarray:
 def _field_logs(p: int, k: int):
     """(zech, logs) for F = F_p[x]/(f), f = _primitive_poly(p, k), on logs
     base x, n = p^k - 1 standing for zero: zech[d] = log(1 + x^d) for d in
-    [0, n), and logs[c] the log of the constant c in [0, p).
+    [0, n), and logs[a] the log of the constant a in [0, p).
 
-    An element sum c_j x^j has the code sum c_j p^j, so a constant is its
-    own code.  The primitive test fixed x^r = c, a primitive root of F_p,
-    for r = n/(p - 1), so x^(s r + i) = c^s x^i: the codes of the n powers
-    of x, exp, are a (p - 1) x r block whose digit j at (s, i) is
-    c^s d_j(i) mod p, d_j(i) the coefficient of x^j in x^i (_powers).  Its
-    inverse dlog on the codes gives zech by scattering dlog shifted by one
-    code, zech[dlog[v]] = dlog[v + 1], as 1 + x^d adds 1 to the constant
-    digit of the code v of x^d; the q/p codes whose constant digit wraps
-    from p - 1 to 0 are scattered again, to dlog[v + 1 - p].  Only zech and
-    the p logs of the constants are kept.
+    An element sum a_j x^j has the code sum a_j p^j.  The primitive test
+    fixed x^r = c, a primitive root of F_p, for r = n/(p - 1), so
+    x^(s r + i) = c^s x^i and logs[c^s] = r s.  For 0 < i < r, x^i =
+    c^(t_i) m_i, c^(t_i) its leading digit and m_i monic of degree J >= 1.
+    Those monic elements have the dense indices idx(m) = (p^J - 1)/(p - 1)
+    + code(m) - p^J in [1, r), and one scatter over the digits of x^i
+    (_powers) gives their logs, L[idx(m_i)] = i - r t_i mod n.  For
+    u = s + t_i, 1 + x^(s r + i) = c^u (m_i + c^(-u)) changes only the
+    constant digit of m_i, so zech[s r + i] = r u + L at idx(m_i) with that
+    digit moved by c^(-u), read from L with each block of p constant digits
+    doubled: no remainder is taken.  The (p - 1) x r grid is filled a block
+    of rows at a time; column 0 is log(1 + c^s), read from logs.
 
-    int32 suffices: for k >= 2, p^2 <= p^k <= ENUM_BOUND < 2^31 bounds each
-    product c^s d_j(i) and each code, and the Horner sum of the codes
-    stays between -p^2 and p^k; the digit columns of _powers, sums of at
-    most k (p - 1)^2, fit int32 at every such p and k.  A prime field
-    (k = 1) has x = c and exp the powers of c, each below p; _powers forms
-    their products in int64 scratch when (p - 1)^2 reaches 2^31.
+    int32 suffices: for k >= 2 the digit products are below p^2 <= p^k <=
+    ENUM_BOUND, and u < 2(p - 1) keeps r u + L below 3n <= 3 ENUM_BOUND <
+    2^31, brought into [0, n) by two uint32 minimum steps.  A prime field
+    (k = 1) has x = c and r = 1: zech is formed in place over the powers
+    of c, which _powers forms in int64 scratch when (p - 1)^2 reaches 2^31.
     """
     if p <= 3:
         raise ValueError("log-table enumeration needs characteristic > 3")
-    q = p**k
-    n = q - 1
+    n = p**k - 1
+    r = n // (p - 1)
     f = _primitive_poly(p, k)
     c = (-1) ** k * f[0] % p  # x^r = c
     cs = _powers([-c % p, 1], p, p - 1)[0]  # c^s for s in [0, p - 1)
-    if k == 1:
-        exp = cs  # x = c
-    else:
-        digits = _powers(f, p, n // (p - 1))
-        exp = np.zeros((p - 1, digits.shape[1]), dtype=np.int32)
-        y = np.empty_like(exp)
-        for d in reversed(digits):
-            # Horner: exp p + (y mod p) = (exp - y // p) p + y for y = c^s d
-            np.multiply.outer(cs, d, out=y)
-            np.floor_divide(y, p, out=y)
-            exp -= y
-            exp *= p
-            np.multiply.outer(cs, d, out=y)
-            exp += y
-        del y
-    dlog = np.full(q, -1, dtype=np.int32)
-    codes = exp.reshape(n)
-    for lo in range(0, n, _SCRATCH):  # no arange of the field's size
-        dlog[codes[lo : lo + _SCRATCH]] = np.arange(lo, min(lo + _SCRATCH, n), dtype=np.int32)
-    dlog[0] = n
-    if np.any(dlog < 0):
-        raise AssertionError("powers of x do not cover the field")
-    if int(dlog[p - 1]) != n // 2:  # -1 has the code p - 1
+    logs = np.empty(p + 1, dtype=np.int32)  # logs[p] = n serves 1 + c^s = p
+    for lo in range(0, p - 1, _SCRATCH):
+        logs[cs[lo : lo + _SCRATCH]] = np.arange(r * lo, r * min(lo + _SCRATCH, p - 1), r, dtype=np.int32)
+    logs[0] = logs[p] = n
+    if int(logs[p - 1]) != n // 2:  # -1 has the code p - 1
         raise AssertionError("log(-1) mismatch")
-    del exp, cs, codes
-    zech = np.empty(n + 1, dtype=np.int32)  # zech[n] = log(1 + 0) = 0
-    zech[dlog[:-1]] = dlog[1:]
-    wrap = dlog.reshape(q // p, p)
-    zech[wrap[:, -1]] = wrap[:, 0]
-    return zech[:n], dlog if k == 1 else dlog[:p].copy()
+    zech = cs
+    if k > 1:
+        cinv = np.tile(np.roll(cs[::-1], 1), 2)  # c^(-u) for u in [0, 2(p - 1))
+        d = _powers(f, p, r)[:, 1:]  # the digits of x^1 .. x^(r-1)
+        lead = d[-1].copy()  # c^(t_i)
+        for row in d[-2::-1]:
+            np.copyto(lead, row, where=lead == 0)
+        sig = logs[lead] // r  # t_i
+        linv = cinv[sig]
+        code, J, m0, t = (np.zeros(r - 1, dtype=np.int32) for _ in range(4))
+        for row in d[::-1]:  # Horner on d_j linv mod p for code(m_i), as in _powers
+            J += code != 0  # so J counts the places below the leading one
+            np.multiply(row, linv, out=m0)
+            np.floor_divide(m0, p, out=t)
+            code -= t
+            code *= p
+            code += m0
+        del d, row, lead  # row holds d's buffer too
+        pk = p ** np.arange(k, dtype=np.int32)
+        code -= (pk - (pk - 1) // (p - 1) + 1)[J]  # idx(m_i) - 1
+        L = np.full(r - 1, -1, dtype=np.int32)
+        L[code] = np.arange(1, r, dtype=np.int32) + logs[linv]
+        if L.min() < 0:
+            raise AssertionError("powers of x do not cover the field")
+        L = np.tile(L.reshape(-1, p), 2).ravel()  # each block of p twice
+        code = 2 * code - m0 + p * t  # the doubled block of m_i, plus m_i,0
+        del J, linv, m0, t
+        zech = np.empty(n, dtype=np.int32)
+        grid = zech.reshape(p - 1, r)[:, 1:]
+        u, v, w = (np.empty((max(1, _SCRATCH // r), r - 1), dtype=np.int32) for _ in range(3))
+        for s in range(0, p - 1, len(u)):
+            out = grid[s : s + len(u)].view(np.uint32)
+            ub, vb, wb = u[: len(out)], v[: len(out)], w[: len(out)]
+            np.add(np.arange(s, s + len(out), dtype=np.int32)[:, None], sig, out=ub)
+            np.take(cinv, ub, out=vb, mode="clip")
+            vb += code
+            np.take(L, vb, out=wb, mode="clip")
+            ub *= r
+            wb += ub  # r u + L < 3n
+            wb, vb = wb.view(np.uint32), vb.view(np.uint32)
+            for o in (wb, out):
+                np.subtract(wb, n, out=vb)
+                np.minimum(wb, vb, out=o)
+        zech[::r] = cs
+    col = zech[::r]  # log(1 + c^s), in place a block at a time
+    for lo in range(0, p - 1, _SCRATCH):
+        b = col[lo : lo + _SCRATCH]
+        b += 1
+        np.take(logs, b, out=b, mode="clip")
+    return zech, logs[:p]
 
 
 class LogField:

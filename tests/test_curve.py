@@ -397,15 +397,16 @@ def test_listed_points_match_sweep_seeded(p, k, kinds):
 
 def test_enum_bound_fits_int32_logs():
     # the listing keeps logs of x^3 + ax + b unreduced, between -q and
-    # 3(q - 1), in int32 arrays
+    # 3(q - 1), in int32 arrays, and the table build forms each Zech entry
+    # as r u + L below 3(q - 1) before reducing it
     assert 3 * curve.ENUM_BOUND < 2**31
 
 
 def test_enum_bound_fits_int32_digit_columns():
-    # for k >= 2, _field_logs forms each code of a power of x from the
-    # products c^s d of two digits, below p^2 < 2^31, into codes below
-    # p^k <= ENUM_BOUND, and _powers sums k such products, at most
-    # k (p - 1)^2, in int32 columns; p is at most the k-th root of the bound
+    # for k >= 2, _field_logs makes each power of x monic by products of
+    # two digits, below p^2 < 2^31, into codes below p^k <= ENUM_BOUND, and
+    # _powers sums k products of digits, at most k (p - 1)^2, in int32
+    # columns; p is at most the k-th root of the bound
     assert curve.ENUM_BOUND < 2**31
     for k in range(2, curve.ENUM_BOUND.bit_length()):
         p = 1

@@ -305,3 +305,25 @@ def test_scalar_action_test_refuses_above_conductor_bound(monkeypatch):
         scalar_action_test(e, frob, 1009)
     with pytest.raises(CapacityError):
         conductor(e, frob)
+
+
+def test_conductor_refuses_a_prime_of_b_before_any_test(monkeypatch):
+    # b = 52 = 2^2 13: with the bound below 13, conductor refuses without
+    # testing c = 2 or 4; at 13 it tests every prime power as before
+    calls = []
+    test = endoring.scalar_action_test
+
+    def counted(curve, frob, c):
+        calls.append(c)
+        return test(curve, frob, c)
+
+    monkeypatch.setattr(endoring, "scalar_action_test", counted)
+    e, frob = EXAMPLE1.curve(0), EXAMPLE1.frob
+    assert frob.b == 52
+    monkeypatch.setattr(endoring, "CONDUCTOR_BOUND", 12)
+    with pytest.raises(CapacityError, match="prime 13 of b"):
+        conductor(e, frob)
+    assert calls == []
+    monkeypatch.setattr(endoring, "CONDUCTOR_BOUND", 13)
+    assert conductor(e, frob) == 1
+    assert calls == [2, 4, 13]

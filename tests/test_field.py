@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -360,7 +361,9 @@ def test_ext_field_encode_decode_roundtrip():
     assert [exp[F.from_int(c)] for c in range(5)] == list(range(5))
 
 
-@pytest.mark.parametrize("p, k", [(5, 3), (7, 2), (11, 3), (13, 2), (101, 1), (13, 1)])
+@pytest.mark.parametrize("p, k", [
+    (5, 3), (7, 2), (11, 3), (13, 2), (101, 1), (13, 1), (5, 4), (7, 4), (5, 5),
+])
 def test_field_logs_match_reference(p, k):
     # zech[d] = log(1 + x^d) for every d, and the log of every constant,
     # against the powers of x by schoolbook multiplication modulo the same f
@@ -376,10 +379,37 @@ def test_field_logs_match_reference(p, k):
     assert [F.from_int(c) for c in range(p)] == [dlog[c] for c in range(p)]
 
 
+# sha256 of zech and logs as little-endian int32 bytes, from the earlier
+# build that formed the code of every power of x and scattered its inverse
+# over the field: the r-entry build must give the same tables bit for bit
+_FIELD_LOGS_SHA256 = {
+    (997, 2): ("f0177d2dae9fbd4484a440fd99d7aebfdec5a699203d6ed10d98c530cdcd00a2",
+               "3814ed0525a5c16715ff63c0221c1dd69f4d859f2c421d6e48ab73c54e29b54e"),
+    (97, 3): ("fa824cfc502f40a9a21fa7192f245a06a8578be161100e382d34c7c297db3fb1",
+              "6458272f5ba7e4ccf5aca73e6dfc13892d08c94a95d71eb9b6018380ef303c1c"),
+    (13, 5): ("ca336e379a24bf461fa5e39361245a90dd58d9ca0aeaa19c7c9a8019c777c03c",
+              "158abccff7ec3aa669ba4a6fcd7da0d4139649c66f99a9a507cf2866ba15e512"),
+    (1999, 2): ("6b6293f79351c8c154367b05b8490fdeb68cd89704d35a4e30047fe3ee820ecc",
+                "f4e31930ee00654de798c9f0b1e8ec0fea6decdf5364c460365c74df69f28617"),
+    (5, 9): ("5103bbcca573412eeb5bb3ab01d1515a9b6963b4f0703ee9777d0ae95f5dc51b",
+             "70a4e8544d7c6c2cd7bc11c3b50773c3379c5689faf8051db895bff6b27c5d94"),
+    (3999971, 1): ("fcf49c5e84b6717599087952bbe8987476c23e87d0328bbf6465ef19cca8788c",
+                   "c6422913bb39d5f6fb0ec0b90900dc18c434156754c7e4ef2e089e7480db25de"),
+}
+
+
+@pytest.mark.parametrize("p, k", sorted(_FIELD_LOGS_SHA256))
+def test_field_logs_pinned_sha256(p, k):
+    zech, logs = _field_logs.__wrapped__(p, k)  # not kept in the cache
+    assert (zech.size, logs.size) == (p**k - 1, p)
+    digests = tuple(hashlib.sha256(a.astype("<i4").tobytes()).hexdigest() for a in (zech, logs))
+    assert digests == _FIELD_LOGS_SHA256[p, k]
+
+
 def test_field_logs_prime_field_above_int32_products():
     # at k = 1 and p > 46341 the powers of c need 64-bit products but are
     # kept in int32, in scratch of a block at a time: the build's traced
-    # peak is under 48 MB (about 36 MB; 64 MB with int64 powers) for the
+    # peak is under 48 MB (about 33 MB; 64 MB with int64 powers) for the
     # 32 MB of tables it keeps.  Spot checks against pow: logs[c^e] = e and
     # zech[e] = log(1 + c^e)
     p = 3999971

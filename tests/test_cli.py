@@ -539,15 +539,6 @@ _OWN_PEAK_RSS = (
     "sys.exit(code)\n"
 )
 
-# runs the CLI as a child of a fresh interpreter and prints the child's peak
-# RSS (ru_maxrss, KiB on Linux) as the last line of stderr
-_CHILD_PEAK_RSS = (
-    "import resource, subprocess, sys\n"
-    "code = subprocess.run([sys.executable, '-m', 'isoclass', *sys.argv[1:]]).returncode\n"
-    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
-    "sys.exit(code)\n"
-)
-
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_oracle_memory_at_the_ceiling():
@@ -564,12 +555,12 @@ def test_oracle_memory_at_the_ceiling():
     assert peak_kib < 100 * 1024, peak_kib
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_pattern_json_memory_at_the_allowed_limit():
     # modulus 999982 lists 999980 residues, 15.9 MB of stdout, written a
     # block at a time: under 40 MiB (about 17 MiB on x86-64 Linux; 101 MiB
     # when the list was joined and spliced whole), and the same bytes
-    run = _run_python("-c", _CHILD_PEAK_RSS, *_JSON_CASES["modulus 999982"], "--json")
+    run = _run_python("-c", _OWN_PEAK_RSS, *_JSON_CASES["modulus 999982"], "--json")
     assert run.returncode == 0, run.stderr
     stdout = run.stdout.encode()
     assert len(stdout) == 15889080

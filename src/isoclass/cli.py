@@ -345,14 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="count, Frobenius, conductor of one curve")
     p.add_argument("curve", help="curve spec <q>:<A>,<B>")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", help="isomorphism pattern for two curves")
     p.add_argument("curve_a", help="curve spec <q>:<A>,<B>")
     p.add_argument("curve_b", help="curve spec <q>:<A>,<B>")
     p.add_argument("--kmax", type=int, default=0, help="tabulate k = 1..kmax")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("pattern", help="pattern from raw (q, t, g, g') data")
@@ -360,15 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", type=int, required=True, help="Frobenius trace t")
     p.add_argument("--g", type=int, required=True, help="first conductor")
     p.add_argument("--g2", type=int, required=True, help="second conductor")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pattern)
 
     p = sub.add_parser("oracle", help="brute-force cross-check of a comparison")
     p.add_argument("curve_a", help="curve spec <q>:<A>,<B>")
     p.add_argument("curve_b", help="curve spec <q>:<A>,<B>")
     p.add_argument("--kmax", type=int, required=True, help="check k = 1..kmax")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -81,17 +81,6 @@ class Curve:
     def __repr__(self) -> str:
         return f"y^2 = x^3 + {self.a}*x + {self.b} over {self.ctx!r}"
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Curve)
-            and other.ctx == self.ctx
-            and other.a == self.a
-            and other.b == self.b
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.a, self.b))
-
     def rhs(self, x):
         F = self.ctx
         return F.add(F.mul(x, F.mul(x, x)), F.add(F.mul(self.a, x), self.b))
@@ -257,13 +246,3 @@ def _order_in(curve: Curve, P, first: int, step: int, n: int) -> int:
             order //= l
     return order
 
-
-__all__ = [
-    "Curve",
-    "GroupStructure",
-    "SingularCurveError",
-    "CapacityError",
-    "COUNT_BOUND",
-    "CONDUCTOR_BOUND",
-    "ENUM_BOUND",
-]

@@ -134,7 +134,9 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     E[c].  For c = 2, [a] = [-a] on E[2].
 
     Raises CapacityError for c > CONDUCTOR_BOUND, before building any
-    division polynomial: the modulus psi~_c has degree about c^2/2.
+    division polynomial: the modulus psi~_c has degree about c^2/2.  c needs
+    no check against the characteristic q: q | c | b would, by the norm
+    q = a^2 + s a b - n b^2, give q | a, against gcd(a, b) = 1.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
@@ -147,8 +149,6 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
         raise ValueError("Frobenius data does not match the curve's field")
     if frob.b % c != 0:
         raise ValueError(f"c = {c} must divide b = {frob.b}")
-    if c % q == 0:
-        raise ValueError("c must be coprime to the characteristic")
     if not _is_prime_power(c):
         raise ValueError(f"{c} is not a prime power")
     if c > CONDUCTOR_BOUND:

@@ -52,13 +52,13 @@ _ROW_BLOCK = 1 << 12
 _SCRATCH = 1 << 16
 
 
-def _is_primitive(f: Poly, p: int, primes=None) -> bool:
+def _is_primitive(f: Poly, p: int, primes) -> bool:
     """Whether x generates the units of F_p[x]/(f), for f monic of degree
     k >= 1, by the constant-term test (Alanen and Knuth, Sankhya A 26, 1964;
     Knuth, TAOCP vol. 2, 3.2.2): c = (-1)^k f(0) is a primitive root of F_p,
     x^r = c (mod f) for r = (p^k - 1)/(p - 1), and x^(r/l) mod f is not a
-    constant for any prime l | r.  primes, when given, is the pair (primes
-    of p - 1, primes of r), which a search factors once.
+    constant for any prime l | r.  primes is the pair (primes of p - 1,
+    primes of r), which a search factors once.
 
     Sound: let d be the order of x modulo f and l a prime dividing n =
     p^k - 1 = r(p - 1); x^n = c^(p-1) = 1, so d | n.  If l | p - 1, then
@@ -71,7 +71,7 @@ def _is_primitive(f: Poly, p: int, primes=None) -> bool:
     as x^r is the norm (-1)^k f(0) of x and x^(r/l) has order l(p - 1)."""
     k = len(f) - 1
     r = (p**k - 1) // (p - 1)
-    lp, lr = primes or (factorize(p - 1), factorize(r))
+    lp, lr = primes
     c = (-1) ** k * f[0] % p
     if c == 0 or any(pow(c, (p - 1) // l, p) == 1 for l in lp):
         return False

@@ -138,12 +138,6 @@ class PrimeField:
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 

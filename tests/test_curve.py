@@ -527,11 +527,12 @@ def test_constant_term_test_matches_order(p):
     # of degree k <= 3, and the count of primitive f, phi(p^k - 1)/k
     for k in (1, 2, 3):
         n = p**k - 1
+        primes = trial_factor(p - 1), trial_factor(n // (p - 1))
         found = 0
         for code in range(p**k):
             f = [code // p**j % p for j in range(k)] + [1]
             primitive = _exact_order_of_x(f, p) == n
-            assert _is_primitive(f, p) == primitive, f
+            assert _is_primitive(f, p, primes) == primitive, f
             found += primitive
         assert found * k == sum(1 for i in range(1, n + 1) if math.gcd(i, n) == 1), (p, k)
 

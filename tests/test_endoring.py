@@ -11,6 +11,7 @@ from isoclass.endoring import (
     scalar_action_test,
 )
 from isoclass.field import PrimeField, Reducer, is_prime, poly_trim
+from isoclass.isomorphy import predicted_group_structure
 from isoclass.quadorder import factorize, frobenius_from_trace
 
 from conftest import EXAMPLE1
@@ -327,3 +328,56 @@ def test_conductor_refuses_a_prime_of_b_before_any_test(monkeypatch):
     monkeypatch.setattr(endoring, "CONDUCTOR_BOUND", 13)
     assert conductor(e, frob) == 1
     assert calls == [2, 4, 13]
+
+
+def _log_curve13():
+    return enumeration._log_curve(Curve(PrimeField(13), 2, 5), 1)
+
+
+# library refusals the CLI never reaches: (call, exception type, message)
+_REFUSALS = {
+    "count above COUNT_BOUND": (
+        lambda: Curve(PrimeField(10**18 + 3), 1, 1).count_points(),
+        CapacityError, "exceeds the point-count bound",
+    ),
+    "action test at c = 0": (
+        lambda: scalar_action_test(EXAMPLE1.curve(0), EXAMPLE1.frob, 0),
+        ValueError, "c must be >= 1",
+    ),
+    "action test over a log field": (
+        lambda: scalar_action_test(_log_curve13(), frobenius_from_trace(13, 5), 2),
+        TypeError, "prime base field",
+    ),
+    "negative division polynomial index": (
+        lambda: division_polys(EXAMPLE1.curve(0), [-1]),
+        ValueError, "indices must be >= 0",
+    ),
+    "division polynomials over a log field": (
+        lambda: division_polys(_log_curve13(), [2]),
+        TypeError, "built over the prime field",
+    ),
+    "bruteforce conductor with another count": (
+        lambda: conductor_bruteforce(EXAMPLE1.curve(0), frobenius_from_trace(3329, 51)),
+        ValueError, "point count does not match",
+    ),
+    "predicted structure at k = 0": (
+        lambda: predicted_group_structure(EXAMPLE1.frob, 1, 0),
+        ValueError, "k must be >= 1",
+    ),
+    "predicted structure with g not dividing b": (
+        lambda: predicted_group_structure(EXAMPLE1.frob, 3, 1),  # b = 52
+        ValueError, "conductor 3 does not divide b_k = 52",
+    ),
+    "log field zero to a negative power": (
+        lambda: enumeration.LogField(7, 1).pow(enumeration.LogField(7, 1).zero, -1),
+        ZeroDivisionError, "0 is not invertible",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(_REFUSALS))
+def test_library_refusals(row):
+    call, kind, message = _REFUSALS[row]
+    with pytest.raises(kind, match=message) as exc:
+        call()
+    assert type(exc.value) is kind

@@ -19,6 +19,7 @@ from isoclass.quadorder import (
     vp,
 )
 
+from isoclass.cli import main
 from isoclass.field import is_prime
 from isoclass.isomorphy import nasty_reduce
 
@@ -261,6 +262,12 @@ def test_frobenius_rejects_supersingular():
 def test_frobenius_rejects_real():
     with pytest.raises(ValueError):
         frobenius_from_trace(4, 4)  # t^2 = 4q
+    # gcd(4, 4) > 1 refuses the line above as supersingular first; at gcd 1,
+    # t^2 - 4q = 8 reaches the check on the sign of the discriminant
+    with pytest.raises(ValueError, match="not negative") as exc:
+        frobenius_from_trace(7, 6)
+    assert not isinstance(exc.value, SupersingularError)
+    assert main(["pattern", "--q", "7", "--trace", "6", "--g", "1", "--g2", "1"]) == 2
 
 
 def test_frobenius_rejects_square_factor_in_m():

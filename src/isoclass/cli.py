@@ -7,7 +7,9 @@ comparison against the brute-force enumeration oracle.
 Exit codes: 0 ok, 2 invalid input, 3 supersingular curve, 4 point-count
 mismatch, 5 capacity exceeded (a bound of the point count, the conductor,
 the enumeration, the factoring budget, or the compare --kmax ceiling
-below).  JSON reports render every big integer as a decimal string.
+below), 6 a cross-check disagreed with the pattern at some k (the oracle's
+enumeration, or compare --kmax's gcd test).  JSON reports render every big
+integer as a decimal string.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def _frob_text(frob: FrobeniusData) -> str:
 # subcommands
 
 
-def cmd_analyze(args) -> tuple[dict, str]:
+def cmd_analyze(args) -> tuple[dict, str, bool]:
     curve = parse_curve_spec(args.curve)
     count = curve.count_points()
     q = curve.ctx.p
@@ -172,7 +174,7 @@ def cmd_analyze(args) -> tuple[dict, str]:
             f"E(F_q) = Z/{struct.n1} x Z/{struct.n2}",
         ]
     )
-    return report, text
+    return report, text, True
 
 
 def _parse_pair(spec_a: str, spec_b: str) -> tuple[Curve, Curve]:
@@ -202,33 +204,36 @@ def _comparison_report(args, count: int, inp: ComparisonInput, pattern: IsoPatte
     return report, header + lines
 
 
-def cmd_compare(args) -> tuple[dict, str]:
+def cmd_compare(args) -> tuple[dict, str, bool]:
     if args.kmax < 0:
         raise ValueError(f"--kmax must be >= 0, got {args.kmax}")
     count, inp = _comparison_setup(*_parse_pair(args.curve_a, args.curve_b))
     bits = inp.frob.q.bit_length()
     if args.kmax * bits > KMAX_BITS_LIMIT:
         raise CapacityError(f"--kmax {args.kmax} times the {bits} bits of q exceeds {KMAX_BITS_LIMIT}")
-    report, lines = _comparison_report(args, count, inp, iso_pattern(inp))
+    pattern = iso_pattern(inp)
+    report, lines = _comparison_report(args, count, inp, pattern)
+    agree = True
     if args.kmax:
-        per_k = [{"k": str(k), "iso": iso} for k, iso in enumerate(gcd_table(inp, args.kmax), 1)]
-        report["per_k"] = per_k
+        table = gcd_table(inp, args.kmax)
+        report["per_k"] = [{"k": str(k), "iso": iso} for k, iso in enumerate(table, 1)]
         lines.append("per-k cross-check (gcd test):")
-        for row in per_k:
-            lines.append(f"  k = {row['k']}: {'isomorphic' if row['iso'] else 'not isomorphic'}")
-    return report, "\n".join(lines)
+        for k, iso in enumerate(table, 1):
+            lines.append(f"  k = {k}: {'isomorphic' if iso else 'not isomorphic'}")
+            agree &= iso == pattern_eval(pattern, k)
+    return report, "\n".join(lines), agree
 
 
-def cmd_pattern(args) -> tuple[dict, str]:
+def cmd_pattern(args) -> tuple[dict, str, bool]:
     if args.q >= 1 << PATTERN_Q_BITS:
         raise CapacityError(f"q has {args.q.bit_length()} bits, over the pattern ceiling of {PATTERN_Q_BITS}")
     inp = ComparisonInput(frobenius_from_trace(args.q, args.trace), args.g, args.g2)
     echo = {"q": str(args.q), "trace": str(args.trace), "g": str(args.g), "g2": str(args.g2)}
     report, lines = _pattern_report(echo, inp, iso_pattern(inp))
-    return report, "\n".join(lines)
+    return report, "\n".join(lines), True
 
 
-def cmd_oracle(args) -> tuple[dict, str]:
+def cmd_oracle(args) -> tuple[dict, str, bool]:
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
     ea, eb = _parse_pair(args.curve_a, args.curve_b)
@@ -271,7 +276,7 @@ def cmd_oracle(args) -> tuple[dict, str]:
     lines.append(
         "oracle and pattern agree for every k" if all_agree else "DISAGREEMENT FOUND"
     )
-    return report, "\n".join(lines)
+    return report, "\n".join(lines), all_agree
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +382,9 @@ _PARSER = build_parser()
 # the exit code of each error main reports, the first matching entry winning:
 # SupersingularError and CountMismatchError are ValueErrors
 _EXIT_CODES = {SupersingularError: 3, CountMismatchError: 4, CapacityError: 5, ValueError: 2}
-DISAGREEMENT_EXIT = 6  # oracle: enumeration and pattern differ at some degree
+# oracle: enumeration and pattern differ at some degree; compare --kmax: the
+# gcd test and pattern differ at some k
+DISAGREEMENT_EXIT = 6
 
 
 def main(argv=None) -> int:
@@ -386,7 +393,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report, text = args.func(args)
+        report, text, agree = args.func(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
@@ -394,7 +401,7 @@ def main(argv=None) -> int:
         _write_json(report)
     else:
         print(text)
-    return DISAGREEMENT_EXIT if not all(row["agree"] for row in report.get("oracle", ())) else 0
+    return 0 if agree else DISAGREEMENT_EXIT
 
 
 if __name__ == "__main__":

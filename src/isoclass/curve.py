@@ -18,11 +18,13 @@ COUNT_BOUND = 10**18  # largest q that count_points takes
 SWEEP_BOUND = 229  # largest q counted by a sweep over every x
 CONDUCTOR_BOUND = 211  # largest prime power c the conductor's scalar test takes
 # Largest field size q^k whose points the enumeration oracle lists.  The
-# listing peaks near 30 MB + 12 bytes per element of F_(q^k): 75 MiB and
-# 0.31 s for `oracle 1999:1,1 1999:1,1 --kmax 2` on a 2-core x86-64 host.
-# The listing and the Zech table build hold logs up to 3(q^k - 1) in int32,
-# so this must stay below 2^31 / 3; the table build's int32 sums, at most
-# k (p - 1)^2 for k >= 2, stay far below 2^31 under it.
+# oracle peaks near 30 MB + 4 bytes per element of F_(q^k), the Zech table,
+# and 4 more at k = 1: 46 MiB and 0.35 s for `oracle 1999:1,1 1999:1,1
+# --kmax 2`, and 60 MiB and 0.41 s for `oracle 3999971:1,1 3999971:1,1
+# --kmax 1`, on a 2-core x86-64 host.  The listing and the Zech table build
+# hold logs up to 3(q^k - 1) in int32, so this must stay below 2^31 / 3;
+# the listing's orbit table holds p^d c < 1.25 q^k, and the table build's
+# int32 sums, at most k (p - 1)^2 for k >= 2, stay far below 2^31 under it.
 ENUM_BOUND = 4 * 10**6
 
 

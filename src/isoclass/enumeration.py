@@ -21,10 +21,15 @@ Only zech and the logs of the p constants are kept.  Multiplication is
 log addition and addition is one Zech lookup, so LogField gives Curve its
 arithmetic at the cost of a few integer operations.
 
-The listing is vectorized with numpy: x^3 + ax + b over every x is two
-gathers of zech, and its log is even exactly for the nonzero squares,
-which give N = |E(F)| by a count.  The rows, points of the curve over
-LogField, are found from the parities block by block as they are read.
+The listing is vectorized with numpy: x^3 + ax + b is two gathers of
+zech, and its log is even exactly for the nonzero squares.  For a curve
+over F_p that class is the same at x and at its conjugate x^p, so N =
+|E(F)| is counted on one x per Frobenius orbit: the orbits of the logs
+under multiplication by p (cyclotomic cosets; Lidl and Niederreiter,
+Finite Fields, ch. 3) carry whole columns of the log table onto each
+other, and one column per orbit is read.  The rows, points of the curve
+over LogField, are found from the parities of every x block by block as
+they are read.
 
 The structure then comes from a few listed points and plain Curve
 arithmetic over LogField.  For each l^e || N the rows, in order, are pushed
@@ -46,6 +51,9 @@ from .quadorder import factorize, vp
 # log entries that the listing scans at a time for its square rows; the
 # Sylow bases read only the first few rows
 _ROW_BLOCK = 1 << 12
+# grid entries that the listing's count reads at a time, two int64 index
+# arrays of them fitting a core's L2 cache
+_COUNT_BLOCK = 1 << 15
 # entries of the table build's scratch arrays, each serving one block at a
 # time: the int64 sums of _powers that may pass 2^31, the blocks of the Zech
 # grid that _field_logs fills, and the prime field's logs
@@ -326,71 +334,119 @@ def _wrapped(start: int, length: int, step: int, n: int) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=4)
+def _columns(p: int, k: int, d: int):
+    """(cols, lens) for d | k: the least member of each orbit of c -> p^d c
+    mod r on [0, r), r = (p^k - 1)/(p^d - 1), ascending, and that orbit's
+    length, which is m/(the steps j in [0, m) that return c to itself),
+    m = k/d.  int32 holds p^d c < p^d r <= 1.25 (p^k - 1)."""
+    q, m = p**d, k // d
+    r = (p**k - 1) // (q - 1)
+    c = np.arange(r, dtype=np.int32)
+    img, least, stays = c.copy(), np.ones(r, dtype=bool), np.ones(r, dtype=np.int32)
+    for _ in range(1, m):
+        img *= q
+        img %= r
+        least &= img >= c
+        stays += img == c
+    cols = np.flatnonzero(least)
+    return cols.astype(np.int32), m // stays[cols]
+
+
+def _rhs_logs(E: Curve, start: int, rows: int, step: int, cols: np.ndarray, h=None):
+    """(r, h, zeros) on the grid i = start + step s + cols[c], s < rows: r
+    the log of the rhs at x = g^i, not reduced mod n, and -1 at its zeros,
+    whose flat positions are zeros.  h = zech[2i - la] (None when a = 0) is
+    also that of i + n/2, and may be passed in for it.
+
+    With la = log a, x^2 + a = a (1 + g^(2i - la)), so u = i + la + h is the
+    log of x^3 + ax (3i when a = 0), and r = lb + zech[u - lb] (u when
+    b = 0).  A gather index is read modulo n when it lies in [-n, n).  The
+    row offsets from _wrapped lie in [-n, -r_d] when start, step, la and lb
+    are multiples of some r_d | n with cols below r_d, or cols = [0], so
+    2i - la and 3i - lb stay below 2 r_d, and u - lb is h in [0, n] plus a
+    value in [-n, 0).  The few x with x^2 = -a or rhs = 0, where a gather
+    meets zero, are patched by position."""
+    F = E.ctx
+    zech, n = F.zech, F.n
+    la, lb = E.a, E.b
+    if la == n:  # then b != 0, as y^2 = x^3 is singular
+        u, fix = np.add(_wrapped(3 * start - lb, rows, 3 * step, n)[:, None], 3 * cols, dtype=np.intp), []
+    else:
+        if h is None:
+            h = zech[np.add(_wrapped(2 * start - la, rows, 2 * step, n)[:, None], 2 * cols, dtype=np.intp)]
+        # x^2 = -a, where x^3 + ax = 0 and u means nothing
+        fix = np.flatnonzero(h == n).tolist()
+        t = _wrapped(start + la - (0 if lb == n else lb), rows, step, n)[:, None] + cols
+        u = np.add(t, h, dtype=np.intp)
+    if lb == n:
+        r, zeros = u, fix
+    else:
+        r = zech[u]
+        zeros = [j for j in np.flatnonzero(r == n).tolist() if j not in fix]
+        r += lb
+        r.flat[fix] = lb
+    r.flat[zeros] = -1  # odd: no +-y pair
+    return r, h, zeros
+
+
 def _listed_points(E: Curve):
     """N = |E(F)| and a function that yields the affine points of E, a
     curve over LogField, lazily in row order: the y = 0 points, then one
     point of each +-y pair, then their negations.
 
-    x = 0 (rhs = b) is listed apart; the arrays run over x = g^i, g the
-    generator, i in [0, n).  With la = log a, x^2 + a = a (1 + g^(2i - la))
-    depends only on i mod n/2, so one gather of zech on n/2 entries gives
-    h = zech[2i - la] and u = i + la + h, the log of x^3 + ax (3i when
-    a = 0), and a second, at u - lb, gives r = lb + zech[u - lb], the log of
-    the rhs (u when b = 0).  Each gather index is kept in [-n, n), which
-    numpy reads modulo n: 2i - la lies there, and u - lb is h in [0, n]
-    plus a _wrapped progression in [-n, 0).  r is not reduced mod n: n is
-    even, so the squares are the even r, and y = (r mod n)/2.  The few x
-    with x^2 = -a or rhs = 0, where a gather meets zero, are patched by
-    index.  N counts the even r; the rows find them again block by block.
+    x = 0 (rhs = b) is listed apart, the others as x = g^i, i in [0, n),
+    and n is even, so the nonzero squares are the even r of _rhs_logs.  N
+    reads one x per orbit of x -> x^q, F_q = F_(p^d) the least subfield
+    holding a and b: rhs(x^q) = rhs(x)^q is zero, a nonzero square or
+    neither as rhs(x) is.  The logs of F_q are the multiples of r_d =
+    n/(q - 1), and i = s r_d + c, c < r_d, goes to q i mod n = (s +
+    floor(q c / r_d)) r_d + (q c mod r_d), so the map carries all of column
+    c onto column q c mod r_d.  The count reads the q - 1 rows of one column
+    per orbit of c -> q c mod r_d (_columns), weighs it by the orbit's
+    length, and finds the zeros of the rhs in the other columns as the
+    images q^j i of those it meets.  h is gathered on the first (q - 1)/2
+    rows only, as i + n/2 lies in the same column.  A curve over F_p has
+    d = 1; at d = k there is one column, r_d = 1.  The rows find the even r
+    again a _ROW_BLOCK of i at a time as they are read, so no array of the
+    field's size but the Zech table is kept.
     """
     F = E.ctx
-    zech = F.zech
-    n = F.n
-    half = n // 2
+    n, p, k = F.n, F.char, F.k
     la, lb = E.a, E.b
-    # u holds the second gather's index u - lb, or u itself when b = 0
-    if la == n:  # then b != 0, as y^2 = x^3 is singular
-        u, fix = _wrapped(-lb, n, 3, n), []
-    else:
-        h = zech[np.arange(-la, n - la, 2)]
-        # x^2 = -a, where x^3 + ax = 0 and u means nothing
-        fix = [i for j in np.flatnonzero(h == n).tolist() for i in (j, j + half)]
-        s = la - (0 if lb == n else lb)
-        u = np.empty(n, dtype=np.int32)
-        np.add(h, _wrapped(s, half, 1, n), out=u[:half])
-        np.add(h, _wrapped(s + half, half, 1, n), out=u[half:])
-        del h
-    if lb == n:
-        r, zeros = u, fix
-    else:
-        r = zech[u]
-        del u
-        zeros = [i for i in np.flatnonzero(r == n).tolist() if i not in fix]
-        r += lb
-        r[fix] = lb
-    r[zeros] = -1  # odd: no +-y pair
-    squares = n - int(np.count_nonzero(r & 1))
-    x0 = ([n] if lb == n else []) + zeros  # y = 0; log n stands for x = 0
-    x1 = [n] if lb < n and lb % 2 == 0 else []  # x = 0, b a nonzero square
-    logs = memoryview(r)
+    # F_q, q = p^d, the least subfield holding a and b: (q - 1) l = 0 mod n
+    # for their logs l
+    d = next(d for d in range(1, k + 1) if k % d == 0 and la * (p**d - 1) % n == lb * (p**d - 1) % n == 0)
+    q, rd = p**d, n // (p**d - 1)
+    cols, lens = _columns(p, k, d)
+    half, width = (q - 1) // 2, len(cols)
+    chunk = max(1, _COUNT_BLOCK // width)
+    odd, zeros = np.zeros(width, dtype=np.int64), set()
+    for lo in range(0, half, chunk):
+        rows, h = min(chunk, half - lo), None
+        for start in (lo * rd, (lo + half) * rd):
+            r, h, found = _rhs_logs(E, start, rows, rd, cols, h)
+            r &= 1
+            odd += np.add.reduce(r, axis=0, dtype=np.int32)
+            for j in found:
+                i = start + j // width * rd + int(cols[j % width])
+                zeros.update(i * q**t % n for t in range(lens[j % width]))
+    x0 = ([n] if lb == n else []) + sorted(zeros)  # y = 0; log n stands for x = 0
+    x1 = [(n, lb // 2)] if lb < n and lb % 2 == 0 else []  # x = 0, b a nonzero square
 
     def even_rows():
         yield from x1
-        for start in range(0, n, _ROW_BLOCK):
-            yield from (start + np.flatnonzero((r[start : start + _ROW_BLOCK] & 1) == 0)).tolist()
+        for start in range(0, n, _ROW_BLOCK):  # cols[:1] = [0]: every i
+            r = _rhs_logs(E, start, min(_ROW_BLOCK, n - start), 1, cols[:1])[0].ravel()
+            i = np.flatnonzero((r & 1) == 0)
+            yield from zip((start + i).tolist(), (r[i] % n // 2).tolist())
 
     def rows():
-        def y(i):
-            return (lb if i == n else logs[i]) % n // 2
+        yield from ((i, n) for i in x0)
+        yield from even_rows()
+        yield from ((i, F.neg(y)) for i, y in even_rows())
 
-        for i in x0:
-            yield i, n
-        for i in even_rows():
-            yield i, y(i)
-        for i in even_rows():
-            yield i, F.neg(y(i))
-
-    return 1 + len(x0) + 2 * (len(x1) + squares), rows
+    return 1 + len(x0) + 2 * (len(x1) + int(lens @ (q - 1 - odd))), rows
 
 
 def _log_order(curve: Curve, l: int, T) -> int:

@@ -5,8 +5,8 @@ pattern's allowed residues as a set, factoring by trial division,
 exhaustive point listing, the ordinary check, the Legendre symbol,
 polynomial evaluation, the counts of every curve over F_p, the pairwise
 pattern table, the paper's two valuation lemmas (lifting the exponent,
-binomial valuation), arithmetic in Z[delta], and the scalar action test
-on both coordinates."""
+binomial valuation), arithmetic in Z[delta], the scalar action test
+on both coordinates, and the oracle's point listing over every x."""
 
 import itertools
 
@@ -342,3 +342,60 @@ def scalar_action_test_xy(curve, frob, c):
         return True
 
     return component_ok(psi[c], True) and (c % 2 == 1 or component_ok(f, False))
+
+
+def _wrapped(start: int, length: int, step: int, n: int) -> np.ndarray:
+    """start + step i for i in [0, length), each less the multiple of n that
+    puts it in [-n, 0), as int32."""
+    s = start % n - n
+    a = np.arange(s, s + step * length, step, dtype=np.int32)
+    w = -s  # a[i] >= 0 from i = ceil(w / step) on
+    while (i := -(-w // step)) < length:
+        a[i:] -= n
+        w += n
+    return a
+
+
+def listed_points_over_every_x(E):
+    """(N, rows) as enumeration._listed_points gives them, for a curve E over
+    LogField, by reading x^3 + ax + b at every x of the field at once: the
+    reference for the listing that reads one x per Frobenius orbit.
+
+    With la = log a, h = zech[2i - la] over i in [0, n/2) and u = i + la + h
+    is the log of x^3 + ax at x = g^i; r = lb + zech[u - lb] is the log of
+    the rhs, unreduced, so the squares are the even r.  x^2 = -a (h = n) and
+    the zeros of the rhs are patched by index."""
+    F = E.ctx
+    zech = F.zech
+    n = F.n
+    half = n // 2
+    la, lb = E.a, E.b
+    if la == n:
+        u, fix = _wrapped(-lb, n, 3, n), []
+    else:
+        h = zech[np.arange(-la, n - la, 2)]
+        fix = [i for j in np.flatnonzero(h == n).tolist() for i in (j, j + half)]
+        s = la - (0 if lb == n else lb)
+        u = np.empty(n, dtype=np.int32)
+        np.add(h, _wrapped(s, half, 1, n), out=u[:half])
+        np.add(h, _wrapped(s + half, half, 1, n), out=u[half:])
+    if lb == n:
+        r, zeros = u, fix
+    else:
+        r = zech[u]
+        zeros = [i for i in np.flatnonzero(r == n).tolist() if i not in fix]
+        r += lb
+        r[fix] = lb
+    r[zeros] = -1
+    squares = n - int(np.count_nonzero(r & 1))
+    x0 = ([n] if lb == n else []) + zeros
+    x1 = [(n, lb // 2)] if lb < n and lb % 2 == 0 else []
+    i = np.flatnonzero((r & 1) == 0)
+    even = x1 + list(zip(i.tolist(), (r[i] % n // 2).tolist()))
+
+    def rows():
+        yield from ((i, n) for i in x0)
+        yield from even
+        yield from ((i, F.neg(y)) for i, y in even)
+
+    return 1 + len(x0) + 2 * (len(x1) + squares), rows

@@ -259,6 +259,19 @@ def test_oracle_command(capsys):
         assert row["isomorphic"] == row["predicted"]
 
 
+def test_oracle_over_f5_to_kmax_9(capsys):
+    # conductors 1 and 2, so the groups differ at every k; over F_(5^k) the
+    # listing reads one x per Frobenius orbit, of lengths dividing k, up to
+    # 5^9 = 1953125 elements
+    assert main(["oracle", "5:4,0", "5:4,1", "--kmax", "9", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["conductors"] == ["1", "2"]
+    rows = out["oracle"]
+    assert [row["k"] for row in rows] == [str(k) for k in range(1, 10)]
+    assert all(row["agree"] is True and row["isomorphic"] is False for row in rows)
+    assert rows[-1]["a"] == ["2", "975364"] and rows[-1]["b"] == ["1", "1950728"]
+
+
 def test_exit_code_invalid_input(capsys):
     assert main(["analyze", "5:1"]) == 2            # malformed spec
     assert main(["analyze", "6:1,1"]) == 2          # composite field size
@@ -542,17 +555,23 @@ _OWN_PEAK_RSS = (
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_oracle_memory_at_the_ceiling():
-    # the worst input under ENUM_BOUND: q^k = 1999^2 is the largest field
-    # under the 4e6 ceiling, and both curves are listed there.  Measured on
-    # a 2-core x86-64 Linux host: 0.31 s and 75 MiB VmHWM; the limits are
-    # 30 s and 100 MiB
-    argv = ["oracle", "1999:1,1", "1999:1,1", "--kmax", "2", "--json"]
-    run = _run_python("-c", _OWN_PEAK_RSS, *argv, timeout=30)
-    assert run.returncode == 0, run.stderr
-    rows = json.loads(run.stdout)["oracle"]
-    assert len(rows) == 2 and all(row["agree"] is True for row in rows)
-    peak_kib = int(run.stderr.splitlines()[-1])
-    assert peak_kib < 100 * 1024, peak_kib
+    # the worst inputs under ENUM_BOUND, both curves listed in each: q^k =
+    # 1999^2, the largest extension field under the 4e6 ceiling, where the
+    # listing reads one x per Frobenius orbit, and the prime field 3999971,
+    # where it reads every x in a single column and the table build keeps
+    # the logs of the p constants too.  Measured on a 2-core x86-64 Linux
+    # host: 0.35 s and 46 MiB VmHWM, and 0.41 s and 60 MiB; the limits are
+    # 30 s and the peak plus 25 MiB
+    for argv, ceiling_mib in (
+        (["oracle", "1999:1,1", "1999:1,1", "--kmax", "2", "--json"], 71),
+        (["oracle", "3999971:1,1", "3999971:1,1", "--kmax", "1", "--json"], 85),
+    ):
+        run = _run_python("-c", _OWN_PEAK_RSS, *argv, timeout=30)
+        assert run.returncode == 0, run.stderr
+        rows = json.loads(run.stdout)["oracle"]
+        assert len(rows) == int(argv[4]) and all(row["agree"] is True for row in rows)
+        peak_kib = int(run.stderr.splitlines()[-1])
+        assert peak_kib < ceiling_mib * 1024, (argv, peak_kib)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
@@ -571,10 +590,34 @@ def test_pattern_json_memory_at_the_allowed_limit():
     assert peak_kib < 40 * 1024, peak_kib
 
 
+def test_compare_disagreement_exits_6(monkeypatch, capsys):
+    # a prediction flipped at k = 3 disagrees with the gcd test there: the
+    # per-k table is written as before, in text and in --json, and the exit
+    # code is 6; with no --kmax there is no table to disagree
+    argv = ["compare", "3329:49,0", "3329:1,98", "--kmax", "4"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main(argv + ["--json"]) == 0
+    report = capsys.readouterr().out
+    pattern_eval = cli.pattern_eval
+    monkeypatch.setattr(cli, "pattern_eval", lambda pattern, k: pattern_eval(pattern, k) != (k == 3))
+    assert main(argv) == cli.DISAGREEMENT_EXIT == 6
+    assert capsys.readouterr().out == text
+    assert main(argv + ["--json"]) == 6
+    assert capsys.readouterr().out == report
+    assert main(argv[:3]) == 0
+    capsys.readouterr()
+
+
 def test_compare_kmax_ceiling(monkeypatch, capsys):
     # q = 3329 has 12 bits: kmax 1666 is the largest accepted; the gcd test
-    # is stubbed, since only the ceiling is under test here
-    monkeypatch.setattr(cli, "gcd_table", lambda inp, kmax: [True] * kmax)
+    # is stubbed by the pattern's own answers, since only the ceiling is
+    # under test here and a table that disagrees exits 6
+    def gcd_table(inp, kmax):
+        pattern = iso_pattern(inp)
+        return [pattern_eval(pattern, k) for k in range(1, kmax + 1)]
+
+    monkeypatch.setattr(cli, "gcd_table", gcd_table)
     assert KMAX_BITS_LIMIT == 20000
     assert main(["compare", "3329:49,0", "3329:1,98", "--kmax", "1666", "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["per_k"]) == 1666
@@ -718,3 +761,25 @@ def test_cli_fuzz_seeded():
     for argv, (code, err) in zip(draws, results):
         assert code in (0, 2, 3, 4, 5) and "Traceback" not in err, (argv, code, err)
     assert {code for code, _ in results} == {0, 2, 3, 4, 5}
+
+
+# the commands of the README's fenced code blocks, one per line
+_README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+_README_COMMANDS = [
+    line.split()[1:]
+    for block in _README.read_text(encoding="utf-8").split("```")[1::2]
+    for line in block.splitlines()
+    if line.startswith("isoclass ")
+]
+
+
+def test_readme_commands_run():
+    # every documented example runs as `python -m isoclass` and exits 0, and
+    # with --json prints a report that parses
+    assert [argv[0] for argv in _README_COMMANDS] == ["analyze", "compare", "pattern", "oracle"]
+    for argv in _README_COMMANDS:
+        run = _run_module(*argv)
+        assert run.returncode == 0, (argv, run.stderr)
+        run = _run_module(*argv, "--json")
+        assert run.returncode == 0, (argv, run.stderr)
+        json.loads(run.stdout)

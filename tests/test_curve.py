@@ -32,6 +32,7 @@ from helpers import (
     group_order,
     is_ordinary,
     legendre,
+    listed_points_over_every_x,
     points,
     power_codes,
     trace,
@@ -360,21 +361,27 @@ def test_listed_points_match_sweep_seeded(p, k, kinds):
     # every branch of the listing: a = 0 and b = 0; -a a nonzero square, so
     # x^3 + ax = 0 off x = 0; and b a square or not, for the x = 0 rows.
     # The curves are drawn over F_(p^k) as logs, the nonzero squares being
-    # the even ones, and checked against a sweep over the reference field
+    # the even ones, and checked against a sweep over the reference field.
+    # They are drawn twice: as any logs, and as multiples of r = n/(p - 1),
+    # the logs of F_p, where the listing reads one x per Frobenius orbit;
+    # at even k, r is even and every element of F_p is a square
     rng = random.Random(p**k)
     F = LogField(p, k)
     R, dec = _reference(F)
+    r = F.n // (p - 1)
 
-    def draw(kind):
-        return rng.randrange(kind != "square", F.n, 2) if kind else F.zero
+    def draw(kind, step):
+        return step * rng.randrange(kind != "square", F.n // step, 2) if kind else F.zero
 
-    for a_kind, b_kind in kinds:
+    for step, (a_kind, b_kind) in ((step, ks) for step in sorted({1, r}) for ks in kinds):
+        if step % 2 == 0 and "nonsquare" in (a_kind, b_kind):
+            continue
         while True:
             if b_kind == "s^3":
-                s = rng.randrange(F.n)
+                s = step * rng.randrange(F.n // step)
                 la, lb = F.neg(F.mul(s, s)), F.mul(s, F.mul(s, s))
             else:
-                la, lb = F.neg(draw(a_kind)), draw(b_kind)  # -a of the drawn kind
+                la, lb = F.neg(draw(a_kind, step)), draw(b_kind, step)  # -a of the drawn kind
             try:
                 E = Curve(F, la, lb)
                 break
@@ -393,6 +400,54 @@ def test_listed_points_match_sweep_seeded(p, k, kinds):
             assert on_x_axis == (3 if a_kind == "square" else 1), (R, a, b)
         at_x0 = sum(1 for x, _ in listed if x == R.zero)
         assert at_x0 == (1 if lb == F.zero else 2 if lb % 2 == 0 else 0), (R, a, b)
+
+
+def _coefficient_logs(rng, F, step):
+    """(la, lb) over F with a, b in the subfield of the logs that are
+    multiples of step (and zero): b = 0 with -a = s^2, where the rhs is zero
+    at x = 0 and at the roots of x^2 = -a; -a = s^2 and b = s^3, where
+    x^2 = -a meets the rhs b != 0; a = 0 with the rhs zero at x = s; and a
+    generic a with the rhs zero at x = s."""
+    s, a = (step * rng.randrange(F.n // step) for _ in range(2))
+    s2, s3 = F.mul(s, s), F.mul(s, F.mul(s, s))
+    return [(F.neg(s2), F.zero), (F.neg(s2), s3), (F.zero, F.neg(s3)), (a, F.neg(F.add(s3, F.mul(a, s))))]
+
+
+@pytest.mark.parametrize(
+    "p, k, sub, kinds",
+    [
+        (13, 2, 1, 4), (11, 3, 1, 4), (7, 4, 1, 4), (5, 5, 1, 4), (97, 3, 1, 2), (5, 9, 1, 1),
+        (7, 4, 2, 4),
+        (13, 2, 2, 4), (11, 3, 3, 4), (7, 4, 4, 4), (5, 5, 5, 4),
+    ],
+    ids=["13^2", "11^3", "7^4", "5^5", "97^3", "5^9", "7^4 over 7^2", "13^2 generic", "11^3 generic",
+         "7^4 generic", "5^5 generic"],
+)
+def test_listed_points_match_every_x_listing(p, k, sub, kinds):
+    # N and every row, in order, equal those of the listing that reads every
+    # x (helpers.listed_points_over_every_x), for curves with a, b in
+    # F_(p^sub): one x per Frobenius orbit of F_p at sub = 1, with orbits of
+    # lengths 1, 2, 3, 4, 5 and 9 over the fields; F_(7^2) inside F_(7^4);
+    # and generic curves, sub = k, where the listing reads a single column.
+    # The first `kinds` of _coefficient_logs' four kinds are listed
+    rng = random.Random(p**k + sub)
+    F = LogField(p, k)
+    curves = _coefficient_logs(rng, F, F.n // (p**sub - 1))[:kinds]
+    # above sub = 1 some coefficient lies outside F_p, whose logs are the
+    # multiples of n/(p - 1)
+    assert sub == 1 or any(l % (F.n // (p - 1)) for c in curves for l in c), curves
+    listed = 0
+    for la, lb in curves:
+        try:
+            E = Curve(F, la, lb)
+        except SingularCurveError:
+            continue
+        N, rows = _listed_points(E)
+        want_N, want_rows = listed_points_over_every_x(E)
+        assert N == want_N, (F, la, lb)
+        assert list(rows()) == list(want_rows()), (F, la, lb)
+        listed += 1
+    assert listed >= min(kinds, 3), listed
 
 
 def test_enum_bound_fits_int32_logs():
@@ -482,9 +537,13 @@ def test_group_structure_matches_naive_seeded():
         else:
             refs[F] = _reference(F)
     shapes = set()
-    for _ in range(300):
-        F = rng.choice(fields)
-        a, b = (rng.randrange(F.n + 1) for _ in range(2))
+    for i in range(324):
+        # 300 draws of any a, b, then 24 over the extension fields with a, b
+        # in F_p, multiples of r = n/(p - 1), where the listing reads one x
+        # per Frobenius orbit
+        F = rng.choice(fields if i < 300 else fields[4:])
+        step = 1 if i < 300 else F.n // (F.char - 1)
+        a, b = (step * rng.randrange(F.n // step + 1) for _ in range(2))
         try:
             E = Curve(F, a, b)
         except SingularCurveError:

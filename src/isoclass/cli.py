@@ -30,6 +30,7 @@ from .isomorphy import (
     iso_pattern,
     pattern_eval,
     predicted_group_structure,
+    prime_set,
 )
 from .quadorder import FrobeniusData, SupersingularError, frobenius_from_trace
 
@@ -108,13 +109,14 @@ def _pattern_report(echo: dict, inp: ComparisonInput, pattern: IsoPattern) -> tu
     out as the list of allowed residues."""
     text = pattern_text(pattern)
     modulus = pattern.modulus
+    analyses = prime_set(inp)
     report = {
         "input": echo,
         "frobenius": _frob_report(inp.frob),
         "conductors": [str(inp.g), str(inp.g2)],
         "primes": [
             {"p": str(pa.p), "s": str(pa.s), "e": str(pa.e), "strict": pa.strict, "case": pa.case}
-            for pa in pattern.per_prime
+            for pa in analyses
         ],
         "pattern": {
             "modulus": str(modulus),
@@ -127,7 +129,7 @@ def _pattern_report(echo: dict, inp: ComparisonInput, pattern: IsoPattern) -> tu
         f"conductors g = {inp.g}, g' = {inp.g2}",
         *(
             f"p = {pa.p}: s = {pa.s}, e = {pa.e}, strict = {'yes' if pa.strict else 'no'}, case = {pa.case}"
-            for pa in pattern.per_prime
+            for pa in analyses
         ),
         f"isomorphic over F_(q^k) iff: {text}",
     ]

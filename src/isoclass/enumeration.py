@@ -186,7 +186,8 @@ def _field_logs(p: int, k: int):
     cs = _powers([-c % p, 1], p, p - 1)[0]  # c^s for s in [0, p - 1)
     logs = np.empty(p + 1, dtype=np.int32)  # logs[p] = n serves 1 + c^s = p
     for lo in range(0, p - 1, _SCRATCH):
-        logs[cs[lo : lo + _SCRATCH]] = np.arange(r * lo, r * min(lo + _SCRATCH, p - 1), r, dtype=np.int32)
+        idx = cs[lo : lo + _SCRATCH].astype(np.intp)  # numpy scatters through intp indices faster
+        logs[idx] = np.arange(r * lo, r * min(lo + _SCRATCH, p - 1), r, dtype=np.int32)
     logs[0] = logs[p] = n
     if int(logs[p - 1]) != n // 2:  # -1 has the code p - 1
         raise AssertionError("log(-1) mismatch")

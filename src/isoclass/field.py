@@ -169,21 +169,11 @@ def poly_deg(a: Poly) -> int:
     return len(a) - 1
 
 
-def poly_add(a: Poly, b: Poly, p: int) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return poly_trim(out)
-
-
-def poly_neg(a: Poly, p: int) -> Poly:
-    return [-c % p for c in a]
-
-
 def poly_sub(a: Poly, b: Poly, p: int) -> Poly:
-    return poly_add(a, poly_neg(b, p), p)
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return poly_trim(out)
 
 
 def poly_scale(a: Poly, c: int, p: int) -> Poly:

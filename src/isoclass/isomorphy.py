@@ -12,9 +12,8 @@ a conjunction of per-prime rules: "k even" from the 2-adic cases and
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .curve import GroupStructure
@@ -150,12 +149,11 @@ class IsoPattern:
     """Isomorphic over F_{q^k} iff k is even (when `even`) and d ∤ k for
     every d in `not_dividing`.  Canonical, so equal sets of k compare equal:
     under `even` a d = 2 (mod 4) becomes d/2, multiples of another d are
-    dropped, and "no k" is (False, (1,)).  per_prime is provenance only.
+    dropped, and "no k" is (False, (1,)).
     """
 
     even: bool
     not_dividing: tuple
-    per_prime: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if any(d < 1 for d in self.not_dividing):
@@ -186,11 +184,6 @@ class IsoPattern:
             sieve[::d] = bytes(len(range(0, m, d)))
         return sieve
 
-    def residues(self):
-        """The allowed residues k mod modulus in ascending order, read off
-        the sieve."""
-        return itertools.compress(range(self.modulus), self.sieve())
-
 
 def iso_pattern(inp: ComparisonInput) -> IsoPattern:
     """Closed-form pattern for the whole comparison, one rule per analyzed
@@ -213,7 +206,7 @@ def iso_pattern(inp: ComparisonInput) -> IsoPattern:
             ds.append(pa.e)
         if pa.case == EVEN_GENERIC and vp(inp.frob.b, 2) == pa.s:
             even = True
-    return IsoPattern(even, tuple(ds), analyses)
+    return IsoPattern(even, tuple(ds))
 
 
 def pattern_eval(pattern: IsoPattern, k: int) -> bool:

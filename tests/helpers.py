@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from isoclass.endoring import division_polys
-from isoclass.field import Reducer, is_prime, poly_mod, poly_mul, poly_neg, poly_scale, poly_sub, poly_trim
+from isoclass.field import Reducer, is_prime, poly_mod, poly_mul, poly_scale, poly_sub, poly_trim
 from isoclass.quadorder import vp
 
 
@@ -129,7 +129,7 @@ def group_order(s) -> int:
 def allowed(pat) -> frozenset:
     """The allowed residues of an IsoPattern as a set (0 standing for
     k = modulus)."""
-    return frozenset(pat.residues())
+    return frozenset(itertools.compress(range(pat.modulus), pat.sieve()))
 
 
 def trial_factor(n: int) -> dict[int, int]:
@@ -336,24 +336,12 @@ def scalar_action_test_xy(curve, frob, c):
             return False
         if compare_y:
             half = reducer.pow(f, (q - 1) // 2)
-            target = num_y if sign == 1 else poly_neg(num_y, q)
+            target = num_y if sign == 1 else [-c % q for c in num_y]
             if red(poly_mul(den_y, half, q)) != target:
                 return False
         return True
 
     return component_ok(psi[c], True) and (c % 2 == 1 or component_ok(f, False))
-
-
-def _wrapped(start: int, length: int, step: int, n: int) -> np.ndarray:
-    """start + step i for i in [0, length), each less the multiple of n that
-    puts it in [-n, 0), as int32."""
-    s = start % n - n
-    a = np.arange(s, s + step * length, step, dtype=np.int32)
-    w = -s  # a[i] >= 0 from i = ceil(w / step) on
-    while (i := -(-w // step)) < length:
-        a[i:] -= n
-        w += n
-    return a
 
 
 def listed_points_over_every_x(E):
@@ -368,17 +356,21 @@ def listed_points_over_every_x(E):
     F = E.ctx
     zech = F.zech
     n = F.n
+
+    def wrapped(start, length, step):  # start + step i, moved into [-n, 0)
+        return np.arange(start, start + step * length, step, dtype=np.int64) % n - n
+
     half = n // 2
     la, lb = E.a, E.b
     if la == n:
-        u, fix = _wrapped(-lb, n, 3, n), []
+        u, fix = wrapped(-lb, n, 3), []
     else:
         h = zech[np.arange(-la, n - la, 2)]
         fix = [i for j in np.flatnonzero(h == n).tolist() for i in (j, j + half)]
         s = la - (0 if lb == n else lb)
         u = np.empty(n, dtype=np.int32)
-        np.add(h, _wrapped(s, half, 1, n), out=u[:half])
-        np.add(h, _wrapped(s + half, half, 1, n), out=u[half:])
+        np.add(h, wrapped(s, half, 1), out=u[:half])
+        np.add(h, wrapped(s + half, half, 1), out=u[half:])
     if lb == n:
         r, zeros = u, fix
     else:

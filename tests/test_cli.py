@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import io
 import itertools
@@ -242,7 +243,7 @@ def test_write_residues_is_one_join(even, not_dividing):
     # over every residue would, at the depth json.dumps(indent=2) puts it
     pat = IsoPattern(even, not_dividing)
     assert pat.modulus <= cli.ALLOWED_LIMIT
-    items = '",\n      "'.join(map(str, pat.residues()))
+    items = '",\n      "'.join(map(str, itertools.compress(range(pat.modulus), pat.sieve())))
     want = f'[\n      "{items}"\n    ]' if items else "[]"
     out = io.StringIO()
     cli._write_residues(pat.sieve(), out)
@@ -771,6 +772,30 @@ _README_COMMANDS = [
     for line in block.splitlines()
     if line.startswith("isoclass ")
 ]
+
+
+def test_readme_library_example_runs():
+    # the README's python block runs with its asserts, and a comment that
+    # opens with a literal ("# 13", "# (False, (2,)): ...") gives the value
+    # of the expression or assignment on its line
+    blocks = _README.read_text(encoding="utf-8").split("```")[1::2]
+    (block,) = [b.removeprefix("python") for b in blocks if b.startswith("python\n")]
+    lines = block.splitlines()
+    ns, checked = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), ns)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), ns)
+            got = ns[stmt.targets[0].id] if isinstance(stmt, ast.Assign) else None
+        comment = lines[stmt.end_lineno - 1].partition("#")[2]
+        try:
+            want = ast.literal_eval(comment.partition(":")[0].strip())
+        except (ValueError, SyntaxError):
+            continue
+        assert got == want, (ast.unparse(stmt), got, want)
+        checked.append(want)
+    assert checked == [1, 13, (False, (2,)), True, 2]
 
 
 def test_readme_commands_run():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -23,8 +24,9 @@ from isoclass.enumeration import (
     group_structure,
     sylow_basis,
 )
-from isoclass.field import PrimeField, is_prime
-from isoclass.quadorder import frobenius_from_trace, vp
+from isoclass.field import PrimeField, is_prime, poly_divmod, poly_powmod
+from isoclass.isomorphy import ComparisonInput, gcd_criterion, valuation_criterion
+from isoclass.quadorder import factorize, frobenius_from_trace, mult_order, vp
 
 from helpers import (
     PolyField,
@@ -49,6 +51,29 @@ def test_rejects_singular_and_small_char():
         Curve(PrimeField(3), 1, 1)
     with pytest.raises(ValueError):
         Curve(PrimeField(2), 1, 1)
+
+
+def test_library_refusals():
+    # the refusals no command reaches, each with its exception and message
+    E = Curve(PrimeField(3329), 49, 0)
+    inp = ComparisonInput(frobenius_from_trace(3329, 50), 1, 13)
+    table = [
+        (lambda: poly_divmod([1, 2], [], 5), ZeroDivisionError, "polynomial division by zero"),
+        (lambda: poly_powmod([0, 1], 3, [2], 5), ValueError, "modulus must have degree >= 1"),
+        (lambda: poly_powmod([0, 1], -1, [1, 0, 1], 5), ValueError, "negative exponent"),
+        (lambda: GroupStructure(0, 1), ValueError, "invariant factors must be positive"),
+        (lambda: GroupStructure(2, 3), ValueError, "n1 must divide n2"),
+        (lambda: LogField(3, 2), ValueError, "log-table enumeration needs characteristic > 3"),
+        (lambda: group_structure(E, 0), ValueError, "extension degree must be >= 1, got 0"),
+        (lambda: gcd_criterion(inp, 0), ValueError, "k must be >= 1"),
+        (lambda: valuation_criterion(inp, 0), ValueError, "k must be >= 1"),
+        (lambda: vp(5, 1), ValueError, "p must be >= 2"),
+        (lambda: factorize(0), ValueError, "factorize requires n >= 1"),
+        (lambda: mult_order(1, 1), ValueError, "modulus must be >= 2"),
+    ]
+    for call, exc, message in table:
+        with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_group_law_known_doubling():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -21,6 +22,8 @@ from isoclass.field import (
     poly_mod,
     poly_mul,
     poly_powmod,
+    poly_scale,
+    poly_sub,
     poly_trim,
 )
 
@@ -213,6 +216,21 @@ def test_poly_divmod_roundtrip():
             want.pop()
         assert recon == want
         assert len(r) < len(b) or not r
+
+
+def test_poly_sub_and_scale():
+    # coefficient by coefficient, padded to the longer operand, then trimmed
+    rng = random.Random(3)
+    p = 11
+    for _ in range(50):
+        a = [rng.randrange(p) for _ in range(rng.randrange(0, 6))]
+        b = [rng.randrange(p) for _ in range(rng.randrange(0, 6))]
+        want = [(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+        assert poly_sub(a, b, p) == poly_trim(want)
+    assert poly_sub([1, 2, 3], [1, 2, 3], p) == []
+    assert poly_sub([], [1, 2], p) == [10, 9]
+    assert poly_scale([1, 2, 3], 2, p) == [2, 4, 6]
+    assert poly_scale([1, 2, 3], p, p) == []
 
 
 def test_poly_gcd_known():

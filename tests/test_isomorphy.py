@@ -118,8 +118,9 @@ def test_nasty_reduce():
 
 def test_iso_pattern_nasty():
     frob = EXAMPLE3.frob
-    pat = iso_pattern(ComparisonInput(frob, 7, 14))
-    (pa,) = pat.per_prime
+    inp = ComparisonInput(frob, 7, 14)
+    pat = iso_pattern(inp)
+    (pa,) = prime_set(inp)
     assert pa.case == EVEN_NASTY
     assert (pat.even, pat.not_dividing) == (True, ())
     # v_2(b) = 1 = s: every odd k blocks
@@ -136,9 +137,7 @@ def test_iso_pattern_canonical_equality():
     assert IsoPattern(True, (2,)) == IsoPattern(False, (1, 5)) == IsoPattern(False, (1,))
     assert IsoPattern(False, (8, 6, 4)) == IsoPattern(False, (4, 6))
     assert IsoPattern(False, (3,)) != IsoPattern(True, (3,))
-    # provenance takes no part in equality
-    pat = iso_pattern(ComparisonInput(EXAMPLE1.frob, 1, 13))
-    assert pat.per_prime and pat == IsoPattern(False, (2,))
+    assert iso_pattern(ComparisonInput(EXAMPLE1.frob, 1, 13)) == IsoPattern(False, (2,))
     with pytest.raises(ValueError):
         IsoPattern(False, (0,))
     # equal exactly when the sets of allowed k agree; 840 = lcm(1..8) is a
@@ -407,7 +406,7 @@ def test_three_criteria_agree_large_primes():
                 a3 = pattern_eval(pat, k)
                 assert a1 == a2 == a3, (q, frob.t, g, g2, k)
         # g and g2 differ only at p, so the gcd test reduces to its p-part
-        (pa,) = pat.per_prime
+        (pa,) = prime_set(inp)
         assert pa.p == p
         n = j + 2
         for k in (pa.e, 2 * pa.e):

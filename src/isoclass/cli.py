@@ -45,18 +45,36 @@ KMAX_BITS_LIMIT = 20000
 # number grows, and the step budget runs out in about 2.5 s at 256 bits (4q - 1
 # a product of two 129-bit primes) on a 2-core x86 host.
 PATTERN_Q_BITS = 256
-# Stands in for a pattern's allowed residues until _write_json writes them;
-# a command-line argument cannot hold the NUL, so no input string equals it.
-_RESIDUES = "\0allowed residues"
+# The i-th object _write_json streams stands in json.dumps' text as the marker
+# _MARK % i until it is written; a command-line argument cannot hold the NUL,
+# so no input string equals it.
+_MARK = "\0streamed %d"
 # Residues per block of _write_residues: k = 1000 P + s with P >= 1 prints as
 # str(P) then s in three digits.
 _BLOCK = 1000
+# "%03d" % s for s < _BLOCK, a constant that _write_residues fills the first
+# time it writes a block past block 0, so that a process that never gets that
+# far (analyze never lists residues, oracle's moduli are mostly below
+# _BLOCK) neither builds nor holds it
+_DIGITS: list[str] = []
 # between two residues, at the depth json.dumps(indent=2) puts them
 _SEP = '",\n      "'
+# one row of compare's per_k list, at the depth json.dumps(indent=2) puts it
+_ROW = '{\n      "k": "%d",\n      "iso": %s\n    }'
 
 
 class CountMismatchError(ValueError):
     """The two curves do not have the same number of points."""
+
+
+class _PerK:
+    """compare's gcd table as it stands in the report, where _write_json
+    writes it out as the per_k rows {"k": str(k), "iso": table[k - 1]}."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: list[bool]):
+        self.table = table
 
 
 def parse_curve_spec(spec: str) -> Curve:
@@ -218,7 +236,7 @@ def cmd_compare(args) -> tuple[dict, str, bool]:
     agree = True
     if args.kmax:
         table = gcd_table(inp, args.kmax)
-        report["per_k"] = [{"k": str(k), "iso": iso} for k, iso in enumerate(table, 1)]
+        report["per_k"] = _PerK(table)
         lines.append("per-k cross-check (gcd test):")
         for k, iso in enumerate(table, 1):
             lines.append(f"  k = {k}: {'isomorphic' if iso else 'not isomorphic'}")
@@ -286,27 +304,41 @@ def cmd_oracle(args) -> tuple[dict, str, bool]:
 
 def _write_json(report: dict) -> None:
     """print(json.dumps(report, indent=2)), byte for byte, written to
-    sys.stdout in pieces.  The stdlib encoder writes everything but a
-    pattern's allowed residues, which stand in the report as the pattern
-    and are encoded as the marker _RESIDUES.  The text before the marker,
-    the residue list (_write_residues) and the text after it then go out in
-    turn, so neither the whole list nor a spliced copy of the report is
-    ever held."""
-    patterns = []
+    sys.stdout in pieces.  json.dumps writes only the fixed-size part of the
+    report.  Each long list stands in the report as an object json.dumps
+    hands to default: a pattern, whose allowed residues _write_residues
+    writes, and compare's _PerK, whose rows _write_rows writes.  The i-th
+    such object is encoded as the marker _MARK % i, and the text between
+    markers and the lists then go out in turn, so neither a whole list nor
+    a spliced copy of the report is ever held.
 
-    def mark(pattern: IsoPattern) -> str:
-        patterns.append(pattern)
-        return _RESIDUES
+    Up to Python 3.12, json.dumps with indent set runs the pure-Python
+    encoder: on 3.11 it takes about eight times as long per per_k row as
+    filling _ROW.  From 3.13 the indenting encoder runs in C, and the tests
+    then check these bytes against a second implementation of the format."""
+    streamed = []
+
+    def mark(obj) -> str:
+        streamed.append(obj)
+        return _MARK % len(streamed)
 
     text = json.dumps(report, indent=2, default=mark)
     out = sys.stdout
-    if not patterns:
-        out.write(text + "\n")
-        return
-    head, tail = text.split(json.dumps(_RESIDUES), 1)
-    out.write(head)
-    _write_residues(patterns[0].sieve(), out)
-    out.write(tail + "\n")
+    for i, obj in enumerate(streamed, 1):
+        head, text = text.split(json.dumps(_MARK % i), 1)
+        out.write(head)
+        if isinstance(obj, IsoPattern):
+            _write_residues(obj.sieve(), out)
+        else:
+            _write_rows(obj.table, out)
+    out.write(text + "\n")
+
+
+def _write_rows(table: list[bool], out) -> None:
+    """compare's per_k rows for a non-empty gcd table, as json.dumps(indent=2)
+    writes them at the top level of a report: one _ROW per k."""
+    rows = ",\n    ".join([_ROW % (k, "true" if iso else "false") for k, iso in enumerate(table, 1)])
+    out.write("[\n    " + rows + "\n  ]")
 
 
 def _write_residues(sieve: bytearray, out) -> None:
@@ -315,26 +347,29 @@ def _write_residues(sieve: bytearray, out) -> None:
     _BLOCK residues at a time.
 
     Past block 0, a block's text is fixed by its mask, the slice of the
-    sieve it covers, up to the prefix str(P) of its index P.  Each mask
-    gets a template the first time it is seen, its residues as "\0%03d"
-    joined by the separator, and every block with that mask is then one
-    str.replace."""
+    sieve it covers, up to the prefix str(P) of its index P.  The first time
+    a mask is seen, its residues' three-digit suffixes, taken from _DIGITS,
+    are joined by the separator and split where the prefix goes; every block
+    with that mask is then one join of those pieces on str(P).  An all-zero
+    mask's pieces are [""], so its blocks write nothing."""
     if sieve.find(1) < 0:
         out.write("[]")
         return
     out.write('[\n      "')
-    templates = {}  # mask -> its template
+    pieces = {}  # mask -> its block's text split where str(P) goes
     sep = ""
     for start in range(0, len(sieve), _BLOCK):
         mask = bytes(sieve[start : start + _BLOCK])
         if start == 0:
             block = _SEP.join(map(str, itertools.compress(range(len(mask)), mask)))
         else:
-            template = templates.get(mask)
-            if template is None:
-                suffixes = itertools.compress(range(len(mask)), mask)
-                template = templates[mask] = _SEP.join(["\0%03d" % s for s in suffixes])
-            block = template.replace("\0", str(start // _BLOCK))
+            split = pieces.get(mask)
+            if split is None:
+                if not _DIGITS:
+                    _DIGITS.extend(["%03d" % s for s in range(_BLOCK)])
+                suffixes = (_SEP + "\0").join(itertools.compress(_DIGITS, mask))
+                split = pieces[mask] = ("\0" + suffixes).split("\0") if suffixes else [""]
+            block = str(start // _BLOCK).join(split)
         if block:
             out.write(sep)
             out.write(block)

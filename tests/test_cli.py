@@ -197,6 +197,9 @@ _JSON_CASES = {
     "modulus 1000000006": ["pattern", "--q", "24750000346500001213", "--trace", "1", "--g", "1000000007", "--g2", "1"],
     "compare": ["compare", "3329:49,0", "3329:1,98", "--kmax", "6"],
     "compare, half delta": ["compare", "1031:982,824", "1031:1,89", "--kmax", "6"],
+    "compare, 300 per_k rows": ["compare", "1031:982,824", "1031:168,48", "--kmax", "300"],
+    "compare, one per_k row": ["compare", "3329:49,0", "3329:1,98", "--kmax", "1"],
+    "oracle": ["oracle", "5:1,1", "5:1,4", "--kmax", "4"],
 }
 
 
@@ -227,6 +230,12 @@ def test_json_bytes_are_stdlib_json(capsys):
     assert allowed["modulus 1000000006"] is None
 
 
+def _one_join(sieve: bytearray) -> str:
+    """The residue list json.dumps(indent=2) writes in a pattern, by one join."""
+    items = '",\n      "'.join(map(str, itertools.compress(range(len(sieve)), sieve)))
+    return f'[\n      "{items}"\n    ]' if items else "[]"
+
+
 @pytest.mark.parametrize("even, not_dividing", [
     (False, ()),  # modulus 1
     (False, (1,)),  # none
@@ -243,11 +252,71 @@ def test_write_residues_is_one_join(even, not_dividing):
     # over every residue would, at the depth json.dumps(indent=2) puts it
     pat = IsoPattern(even, not_dividing)
     assert pat.modulus <= cli.ALLOWED_LIMIT
-    items = '",\n      "'.join(map(str, itertools.compress(range(pat.modulus), pat.sieve())))
-    want = f'[\n      "{items}"\n    ]' if items else "[]"
     out = io.StringIO()
     cli._write_residues(pat.sieve(), out)
-    _assert_same_text(out.getvalue(), want)
+    _assert_same_text(out.getvalue(), _one_join(pat.sieve()))
+
+
+def _sieve(length: int, residues) -> bytearray:
+    sieve = bytearray(length)
+    for r in residues:
+        sieve[r] = 1
+    return sieve
+
+
+_MASK_A = [0, 7, 500, 999]
+_MASK_B = [1, 2, 998]
+
+
+@pytest.mark.parametrize("sieve", [
+    # an all-zero block past block 0, between two that are not
+    _sieve(4000, [3, 1000, 1999, 3005]),
+    # and one at the end, then blocks past 0 that are all zero
+    _sieve(3000, [5, 1000]),
+    _sieve(3000, []),
+    _sieve(2500, [2000 + r for r in range(500)]),
+    # a final partial block of one residue, set or not
+    _sieve(2001, [0, 1, 1500, 2000]),
+    _sieve(2001, [0, 1, 1500]),
+    # two masks alternating past block 0: cached pieces reused out of order
+    _sieve(7000, [1000 * P + r for P in range(1, 7) for r in (_MASK_A if P % 2 else _MASK_B)]),
+    # two masks that differ only in their last residue
+    _sieve(3000, [1000, 1999, 2000]),
+    # suffixes needing all three digits' zeros, and a full block
+    _sieve(3000, list(range(1000, 2000)) + [2000, 2009, 2099]),
+    _sieve(2000, [999, 1000]),
+], ids=lambda sieve: f"{len(sieve)}:{sum(sieve)}")
+def test_write_residues_on_handmade_sieves(sieve):
+    # the writer takes any bytearray, including masks no IsoPattern makes
+    out = io.StringIO()
+    cli._write_residues(sieve, out)
+    _assert_same_text(out.getvalue(), _one_join(sieve))
+
+
+def _per_k_report(table):
+    return {"input": {"curve_a": "5:1,1"}, "per_k": table}
+
+
+def test_write_json_per_k_rows(capsys):
+    # the per_k rows, written from one template apart from json.dumps, are
+    # json.dumps(indent=2) of the same report with plain row dicts
+    rng = random.Random(30)
+    tables = [[True], [False, True], [rng.random() < 0.5 for _ in range(300)]]
+    for table in tables:
+        cli._write_json(_per_k_report(cli._PerK(table)))
+        rows = [{"k": str(k), "iso": iso} for k, iso in enumerate(table, 1)]
+        _assert_same_text(capsys.readouterr().out, json.dumps(_per_k_report(rows), indent=2) + "\n")
+    # a pattern and per_k in one report: each marker is matched in order
+    pat = IsoPattern(True, (3,))
+    report = {
+        "pattern": {"modulus": str(pat.modulus), "allowed": pat, "text": pattern_text(pat)},
+        "per_k": cli._PerK(tables[2]),
+        "after": "both",
+    }
+    cli._write_json(report)
+    report["pattern"]["allowed"] = [str(r) for r in itertools.compress(range(pat.modulus), pat.sieve())]
+    report["per_k"] = [{"k": str(k), "iso": iso} for k, iso in enumerate(tables[2], 1)]
+    _assert_same_text(capsys.readouterr().out, json.dumps(report, indent=2) + "\n")
 
 
 def test_oracle_command(capsys):

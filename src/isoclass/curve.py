@@ -139,8 +139,9 @@ class Curve:
         while n:
             if n & 1:
                 result = self._add(result, addend)
-            addend = self._add(addend, addend)
             n >>= 1
+            if n:  # no doubling past the top bit
+                addend = self._add(addend, addend)
         return result
 
     # -- point counting (prime fields) --

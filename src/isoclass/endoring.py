@@ -90,12 +90,16 @@ def division_polys(curve: Curve, ns: Iterable[int]) -> dict[int, Poly]:
             )
             psi[n] = poly_mul(psi[m], inner, p)
         else:
-            t1 = poly_mul(psi[m + 2], poly_mul(psi[m], square(m), p), p)
-            t2 = poly_mul(psi[m - 1], poly_mul(psi[m + 1], square(m + 1), p), p)
+            # the (2y)^4 = 16 f^2 of the even-indexed pair goes on its short
+            # outer factor, and each term pairs operands of like degree
+            hi, lo = psi[m + 2], psi[m - 1]
             if m % 2 == 0:
-                psi[n] = poly_sub(poly_mul(f2_16, t1, p), t2, p)
+                hi = poly_mul(f2_16, hi, p)
             else:
-                psi[n] = poly_sub(t1, poly_mul(f2_16, t2, p), p)
+                lo = poly_mul(f2_16, lo, p)
+            t1 = poly_mul(poly_mul(hi, psi[m], p), square(m), p)
+            t2 = poly_mul(poly_mul(lo, psi[m + 1], p), square(m + 1), p)
+            psi[n] = poly_sub(t1, t2, p)
 
     for n in ns:
         build(n)
@@ -159,16 +163,16 @@ def scalar_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
     f = poly_trim([curve.b, curve.a, 0, 1])
     f4 = poly_scale(f, 4, q)
     reducer = Reducer(f if c == 2 else psi[c], q)
-    red = reducer.reduce
-    pn = red(psi[n])
-    lhs = poly_sub([0, 1], reducer.pow([0, 1], q), q)
-    lhs = red(poly_mul(lhs, red(poly_mul(pn, pn, q)), q))
-    rhs = red(poly_mul(red(psi[n - 1]), red(psi[n + 1]), q))
+    # psi~_n and psi~_(n+-1) have degree below that of psi~_c, so only the
+    # difference of the two sides needs a reduction
+    pn2 = poly_mul(psi[n], psi[n], q)
+    rhs = poly_mul(psi[n - 1], psi[n + 1], q)
     if n % 2 == 0:
-        lhs = red(poly_mul(f4, lhs, q))
+        pn2 = poly_mul(f4, pn2, q)
     else:
-        rhs = red(poly_mul(f4, rhs, q))
-    return lhs == rhs
+        rhs = poly_mul(f4, rhs, q)
+    lhs = poly_mul(poly_sub([0, 1], reducer.pow([0, 1], q), q), pn2, q)
+    return not reducer.reduce(poly_sub(lhs, rhs, q))
 
 
 def conductor(curve: Curve, frob: FrobeniusData) -> int:

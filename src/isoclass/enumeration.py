@@ -198,8 +198,8 @@ def _field_logs(p: int, k: int):
         lead = d[-1].copy()  # c^(t_i)
         for row in d[-2::-1]:
             np.copyto(lead, row, where=lead == 0)
-        sig = logs[lead] // r  # t_i
-        linv = cinv[sig]
+        sig = logs[lead.astype(np.intp)] // r  # t_i; gathers, too, run faster through intp
+        linv = cinv[sig.astype(np.intp)]
         code, J, m0, t = (np.zeros(r - 1, dtype=np.int32) for _ in range(4))
         for row in d[::-1]:  # Horner on d_j linv mod p for code(m_i), as in _powers
             J += code != 0  # so J counts the places below the leading one
@@ -212,7 +212,7 @@ def _field_logs(p: int, k: int):
         pk = p ** np.arange(k, dtype=np.int32)
         code -= (pk - (pk - 1) // (p - 1) + 1)[J]  # idx(m_i) - 1
         L = np.full(r - 1, -1, dtype=np.int32)
-        L[code] = np.arange(1, r, dtype=np.int32) + logs[linv]
+        L[code] = np.arange(1, r, dtype=np.int32) + logs[linv.astype(np.intp)]
         if L.min() < 0:
             raise AssertionError("powers of x do not cover the field")
         L = np.tile(L.reshape(-1, p), 2).ravel()  # each block of p twice

@@ -289,13 +289,15 @@ class Reducer:
     """Remainders modulo a fixed modulus m of degree n in F_p[x].
 
     For n > PACK_THRESHOLD it holds inv = rev(m)^-1 mod x^(n-1), found once
-    by Newton iteration (_inverse_series), and reduces a dividend of degree
-    <= 2n - 2 with two truncated products: the quotient q is the low
-    deg a - n + 1 coefficients of rev(a) * inv read backwards, and the
-    remainder is a - q*m taken mod x^n, since the coefficients from x^n up
-    cancel (von zur Gathen & Gerhard, Modern Computer Algebra, section 9.1).
+    by Newton iteration on a halving precision schedule (_inverse_series),
+    and reduces a dividend of degree <= 2n - 2 with two truncated products:
+    the quotient q is the low deg a - n + 1 coefficients of rev(a) * inv
+    read backwards, and the remainder is a - q*m taken mod x^n, since the
+    coefficients from x^n up cancel (von zur Gathen & Gerhard, Modern
+    Computer Algebra, section 9.1).
     Longer dividends lose one top block of 2n - 1 coefficients at a time.
-    Smaller moduli keep schoolbook division.
+    Smaller moduli keep schoolbook division.  Powers of x start from the
+    largest monomial one reduction can take, x^e0 with e0 <= 2n - 2 (pow).
     """
 
     __slots__ = ("m", "p", "n", "inv")
@@ -328,17 +330,26 @@ class Reducer:
         significant bit down, so every multiply is by the reduced base,
         cheap when that is short, like x^3 + ax + b.  A reduced base of x
         multiplies by a shift, less one multiple of m when the degree
-        reaches n."""
+        reaches n, and starts from x^e0 for e0 the longest leading bit
+        prefix of e with e0 <= 2n - 2: one reduction of a monomial instead
+        of the squarings of x, x^2, ... that reach it."""
         if e == 0:
             return [1]
         p, red, m = self.p, self.reduce, self.m
         base = red(poly_trim([c % p for c in base]))
-        by_x = base == [0, 1]
+        by_x = base == [0, 1]  # so n >= 2
+        if by_x:
+            top = 2 * self.n - 2
+            bits = max(e.bit_length() - top.bit_length(), 0)  # the bits of e below e0
+            bits += e >> bits > top
+            result = red([0] * (e >> bits) + [1])
+        else:
+            bits = e.bit_length() - 1
+            result = base
         lead_inv = pow(m[-1], p - 2, p)
-        result = base
-        for bit in bin(e)[3:]:
+        for i in range(bits - 1, -1, -1):
             result = red(poly_mul(result, result, p))
-            if bit == "0":
+            if not e >> i & 1:
                 continue
             if not by_x:
                 result = red(poly_mul(result, base, p))
@@ -361,14 +372,18 @@ class Reducer:
 
 
 def _inverse_series(f: Poly, k: int, p: int) -> Poly:
-    """f^-1 mod x^k for f[0] != 0, by Newton iteration, which doubles the
-    number of correct coefficients each step.  If g = f^-1 mod x^h, then
-    f g = 1 + x^h e (mod x^2h), and g - x^h (g e mod x^h) is f^-1 mod x^2h:
-    each step forms only e and the new half, from two truncated products."""
+    """f^-1 mod x^k for f[0] != 0, by Newton iteration.  If g = f^-1 mod
+    x^h, then f g = 1 + x^h e (mod x^2h), and g - x^h (g e mod x^(h')) is
+    f^-1 mod x^(h + h') for any h' <= h: each step forms only e and the
+    new part, from two truncated products.  The precisions run k,
+    ceil(k/2), ceil(k/4), ..., 1 read backwards, so each step at most
+    doubles h and none computes a coefficient from x^k up."""
+    precs = [k]
+    while precs[-1] > 1:
+        precs.append((precs[-1] + 1) // 2)
     g = [pow(f[0], p - 2, p)]  # f^-1 mod x^h, h coefficients with any zeros at the top
     h = 1
-    while h < k:
-        prec = min(2 * h, k)
+    for prec in reversed(precs[:-1]):
         e = poly_mul(f, g, p, prec)[h:]
         ge = poly_mul(g, e, p, prec - h)
         g += [-c % p for c in ge] + [0] * (prec - h - len(ge))

@@ -105,6 +105,26 @@ def test_scalar_mul_matches_repeated_add():
         assert e.scalar_mul(-3, pt) == e.neg(e.scalar_mul(3, pt))
 
 
+def test_scalar_mul_adds_once_per_bit(monkeypatch):
+    # one addition per set bit of n and one doubling per bit below the top:
+    # n = 2^j takes j doublings and one addition, no doubling past the top
+    e = Curve(PrimeField(1009), 2, 3)
+    pt = next(iter(points(e)))
+    ns = [2**j for j in range(12)] + [3, 5, 6, 7, 100, 1023]
+    want = {n: e.scalar_mul(n, pt) for n in ns}
+    calls = []
+    add = Curve._add
+    monkeypatch.setattr(Curve, "_add", lambda self, P, Q: calls.append(1) or add(self, P, Q))
+    for j in range(12):
+        calls.clear()
+        assert e.scalar_mul(2**j, pt) == want[2**j]
+        assert len(calls) == j + 1, j
+    for n in ns:
+        calls.clear()
+        assert e.scalar_mul(n, pt) == want[n]
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1"), n
+
+
 def test_contains_and_add_validation():
     e = Curve(PrimeField(5), 1, 1)
     assert e.contains((0, 1))

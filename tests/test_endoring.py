@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -66,6 +67,44 @@ def test_division_poly_windows_match_full_recurrence():
                         assert got[k] == full[k], (p, e.a, e.b, c, n, k)
     # psi~_151 alone: a few windows per binary digit, not all 152
     assert len(division_polys(Curve(PrimeField(13), 2, 3), [151])) <= 40
+
+
+# sha256 of the decimal coefficients of psi~_c joined by commas, from the
+# recursion that multiplied 16 f^2 into whole terms and formed
+# psi~_(m+2) (psi~_m psi~_m^2): any reassociation of the products must give
+# the same polynomials.  c = 5, 7, 13, 25 and 53 reach odd windows with m
+# even and odd, and even windows; the 61-bit curve packs two-word slots.
+_PSI_SHA256 = {
+    (3329, 1, 57): {
+        5: "e06df0a5d04cf8196b6689dbe8add8350cc17faba9966b6bb3ad11ac5cbc071c",
+        7: "68a98aa9c0a868b97bd1e9fac0a7a0d7cfc8f581bc0224feddfd05a753e6d8b0",
+        13: "2c24914eb6d67d65cec035d34af9bcf8f4c16da140f0f38610fce14199e86492",
+        25: "035c2846800d6ecae6fb45b1ea641f28dd49c173f9ce66c12c2b251403d43a57",
+        53: "b1c7b54ca59bf5ee749b7f73e14db68116d68b05f75de6a20664b6bb6fade2a0",
+    },
+    (2909, 2499, 0): {
+        5: "a7557352f512a7ab1e8b2d1d443a1b350522706b9d2bcbb227543ae268d7bc7e",
+        7: "a7c29751ea712e9771ed7acecb7a5b8bec9340628183059045f80d84e7d45339",
+        13: "5e69af538c277ff0faccbee60079b98ba5580bb93826b14a534883c128cc6268",
+        25: "e97ed250e841289758a969cdfe9e5a968d4a0f65bec5924674a9a42fbb4d59f0",
+        53: "393b7b230a0e339db918d52c9dbab14358990ce18c44b5d964414833a00ac51c",
+    },
+    (2**61 - 1, 3, 7): {
+        5: "32ac51909aa0b0ba7006496044d9afee9f2723f21ef062960d651ce26ddac3a1",
+        7: "6e432e27af413a46e1b0b64aac99e0c14c12e53474dd2b066d01ced22b71db9b",
+        13: "9d1a3c22122cca6e5477972ef55e9e875ee4cdf9323170f83be6e8a817d9b679",
+        25: "32b86fe1ccc010b4dc014bb59395fb9d1bd3a30b99973dc649cab8160d5d7bd0",
+        53: "74b893776cf459d340b1ac970db06e05331a5bc8bdc5d53c2f8920407f71d395",
+    },
+}
+
+
+@pytest.mark.parametrize("p, a, b", sorted(_PSI_SHA256))
+def test_division_polys_pinned_sha256(p, a, b):
+    want = _PSI_SHA256[p, a, b]
+    psi = division_polys(Curve(PrimeField(p), a, b), want)
+    got = {c: hashlib.sha256(",".join(map(str, psi[c])).encode()).hexdigest() for c in want}
+    assert got == want
 
 
 def test_division_poly_roots_are_torsion():

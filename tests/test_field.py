@@ -307,16 +307,27 @@ def test_reducer_rejects_zero_modulus():
 
 
 def test_poly_powmod_matches_repeated_multiply():
+    # a base of x starts from the largest x^e0 with e0 <= 2n - 2, so the
+    # checks straddle that switch; the reference steps x^e by a shift less
+    # one multiple of m, and other bases by a product and a division
     rng = random.Random(6)
     for n, p in ((32, 2909), (45, 1000003), (70, 2**61 - 1)):
         m = _random_poly(rng, n, p)
+        lead_inv = pow(m[-1], -1, p)
         for base, emax in (([0, 1], 10**4), (_random_poly(rng, n + 3, p), 300)):
             checks = {0, 1, 2, 3, 31, 32, 33, emax - 1, emax} | {rng.randrange(emax) for _ in range(5)}
+            checks |= set(range(2 * n - 3, 2 * n + 2))
             acc = [1]
             for e in range(emax + 1):
                 if e in checks:
                     assert poly_powmod(base, e, m, p) == acc, (n, p, e)
-                acc = poly_divmod(poly_mul(acc, base, p), m, p)[1]
+                if base != [0, 1]:
+                    acc = poly_divmod(poly_mul(acc, base, p), m, p)[1]
+                    continue
+                acc = [0] + acc
+                if len(acc) > n:
+                    c = acc[-1] * lead_inv % p
+                    acc = poly_trim([(x - c * y) % p for x, y in zip(acc, m)])
     # a base with negative and >= p coefficients whose top two vanish mod p,
     # which pow normalises before its first product; at 2n coefficients its
     # quotient by m is long enough to be a packed product

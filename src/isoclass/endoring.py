@@ -8,15 +8,16 @@ pins down every v_p(g).
 
 The scalar test is one congruence in F_p[x] modulo psi~_c (modulo f, the
 2-torsion, at c = 2), built from division polynomials, Schoof style; an
-independent pointwise check over explicit torsion points in extension
-fields backs it as an oracle.
+independent pointwise check over explicit torsion points backs it as an
+oracle: it decides each c in the one extension F_(q^m), m = ord(a mod c),
+that holds all of E[c] when the test passes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
-from .curve import CONDUCTOR_BOUND, ENUM_BOUND, CapacityError, Curve
+from .curve import CONDUCTOR_BOUND, CapacityError, Curve
 from .field import (
     PrimeField,
     Poly,
@@ -26,7 +27,7 @@ from .field import (
     poly_sub,
     poly_trim,
 )
-from .quadorder import FrobeniusData, _is_prime_power, factorize
+from .quadorder import FrobeniusData, _is_prime_power, factorize, mult_order
 
 
 def division_polys(curve: Curve, ns: Iterable[int]) -> dict[int, Poly]:
@@ -185,73 +186,59 @@ def conductor(curve: Curve, frob: FrobeniusData) -> int:
     primes = sorted(factorize(frob.b).items())
     if primes and primes[-1][0] > CONDUCTOR_BOUND:
         raise CapacityError(f"prime {primes[-1][0]} of b exceeds the conductor bound {CONDUCTOR_BOUND}")
+    return _first_failures(curve, frob, primes, scalar_action_test)
+
+
+def _first_failures(
+    curve: Curve,
+    frob: FrobeniusData,
+    primes: list[tuple[int, int]],
+    test: Callable[[Curve, FrobeniusData, int], bool],
+) -> int:
+    """g from a prime-power action test: v_p(g) = v_p(b) - i, i the number
+    of p^1, p^2, ... that pass before the first failure.  Passes are
+    downward closed in the exponent, so no later one is tried."""
     g = 1
     for p, vb in primes:
         i = 0
-        # passes are downward closed in i, so stop at the first failure
-        while i < vb and scalar_action_test(curve, frob, p ** (i + 1)):
+        while i < vb and test(curve, frob, p ** (i + 1)):
             i += 1
         g *= p ** (vb - i)
     return g
 
 
-def _full_torsion_action(curve: Curve, frob: FrobeniusData, lp: int, jmax: int) -> list[bool]:
-    """Pointwise oracle for c = lp^j, j = 1..jmax, in one walk up the
-    extensions: each j is decided in the smallest extension F containing all
-    of E[c].  By the Weil pairing E[c] fits in F_{q^m} only if c | q^m - 1,
-    so other m are skipped unlisted.  The walk stops with CapacityError
-    once q^m passes ENUM_BOUND.
+def _torsion_action_test(curve: Curve, frob: FrobeniusData, c: int) -> bool:
+    """Pointwise oracle for scalar_action_test at the prime power c = l^j
+    dividing b: whether pi = [a mod c] on E[c], decided on explicit points
+    of the one field F_(q^m), m = ord(a mod c).  gcd(a, c) = 1, since
+    gcd(a, b) = 1.  If pi = [a] on E[c], then pi^m = [a^m] = 1 there, so
+    all of E[c] is rational over F_(q^m); if it is not, c fails.
 
-    Let S = <P> (+) <Q> be the lp-Sylow basis over F, ord P = lp^ea >=
-    ord Q = lp^eb.  E[lp^j](F) = S[lp^j] has lp^(min(ea,j) + min(eb,j))
-    points, so all of E[lp^j] is rational exactly when j <= eb, spanned then
-    by [lp^(ea-j)]P and [lp^(eb-j)]Q.  pi - [a mod c] is an endomorphism, so
+    Let S = <P> (+) <Q> be the l-Sylow basis over F_(q^m), ord P = l^ea >=
+    ord Q = l^eb.  E[c](F_(q^m)) = S[c] has l^(min(ea,j) + min(eb,j))
+    points, so all of E[c] is rational exactly when j <= eb, spanned then
+    by [l^(ea-j)]P and [l^(eb-j)]Q.  pi - [a mod c] is an endomorphism, so
     it kills E[c] exactly when it kills those two generators.  The basis
     lives on the log-form curve of enumeration.sylow_basis, where pi
-    multiplies both logs by q mod q^m - 1."""
+    multiplies both logs by q.  The listing raises CapacityError for
+    q^m > ENUM_BOUND."""
     from . import enumeration
 
-    q = frob.q
-    passes: list[bool] = []
-    m = 0
-    size = 1
-    while len(passes) < jmax:
-        m += 1
-        size *= q
-        c = lp ** (len(passes) + 1)
-        if size > ENUM_BOUND:
-            raise CapacityError(
-                f"E[{c}] does not appear within the enumeration ceiling {ENUM_BOUND}"
-            )
-        if (size - 1) % c:
-            continue
-        E, (P, ea), (Q, eb) = enumeration.sylow_basis(curve, lp, m)
-        F = E.ctx
-        for j in range(len(passes) + 1, min(eb, jmax) + 1):
-            n = frob.a % lp**j
-            gens = (E.scalar_mul(lp ** (ea - j), P), E.scalar_mul(lp ** (eb - j), Q))
-            passes.append(
-                all((F.pow(x, q), F.pow(y, q)) == E.scalar_mul(n, (x, y)) for x, y in gens)
-            )
-    return passes
+    ((l, j),) = factorize(c).items()
+    E, (P, ea), (Q, eb) = enumeration.sylow_basis(curve, l, mult_order(frob.a, c))
+    if eb < j:
+        return False
+    F, q, n = E.ctx, frob.q, frob.a % c
+    gens = (E.scalar_mul(l ** (ea - j), P), E.scalar_mul(l ** (eb - j), Q))
+    return all((F.pow(x, q), F.pow(y, q)) == E.scalar_mul(n, (x, y)) for x, y in gens)
 
 
 def conductor_bruteforce(curve: Curve, frob: FrobeniusData) -> int:
-    """Conductor computed from explicit torsion points in extension fields.
-
-    Independent of the division-polynomial route; meant as its oracle on
-    small inputs.  Raises CapacityError when a needed torsion field has
-    more than ENUM_BOUND elements.
-    """
+    """Conductor from explicit torsion points, independent of the division
+    polynomials: conductor's first-failure loop over _torsion_action_test,
+    meant as its oracle on small inputs.  Raises CapacityError when a tested
+    c needs a field F_(q^m), m = ord(a mod c), of more than ENUM_BOUND
+    elements."""
     if curve.count_points() != frob.q + 1 - frob.t:
         raise ValueError("curve's point count does not match the Frobenius data")
-    g = 1
-    for p, vb in sorted(factorize(frob.b).items()):
-        passes = _full_torsion_action(curve, frob, p, vb)
-        i = 0
-        while i < vb and passes[i]:
-            i += 1
-        if any(passes[i:]):
-            raise AssertionError("action passes must be downward closed in the exponent")
-        g *= p ** (vb - i)
-    return g
+    return _first_failures(curve, frob, sorted(factorize(frob.b).items()), _torsion_action_test)

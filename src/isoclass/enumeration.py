@@ -4,8 +4,8 @@ Group structures and torsion subgroups of E(F_{p^k}) are read off the list
 of every point, with no input from the Frobenius-based predictions they are
 used to cross-check.  The entry points take a curve over F_p and the degree
 k.  Fields larger than ENUM_BOUND (curve.py) are refused with CapacityError
-before any table is built; `isoclass oracle` and
-endoring.conductor_bruteforce check the same ceiling before listing.
+before any table is built, which is also the one ceiling of
+endoring.conductor_bruteforce; `isoclass oracle` checks it before listing.
 
 The whole oracle runs on discrete logs.  F_{p^k} is F_p[x]/(f) for a
 primitive polynomial f, so x generates F^*: a nonzero element is its log

@@ -334,7 +334,7 @@ class Reducer:
         prefix of e with e0 <= 2n - 2: one reduction of a monomial instead
         of the squarings of x, x^2, ... that reach it."""
         if e == 0:
-            return [1]
+            return self.reduce([1])
         p, red, m = self.p, self.reduce, self.m
         base = red(poly_trim([c % p for c in base]))
         by_x = base == [0, 1]  # so n >= 2

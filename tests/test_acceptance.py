@@ -41,9 +41,12 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 @contextmanager
 def criterion(num, desc, budget=None):
+    """Times the block and prints its PASS/FAIL line; the block may append
+    notes, such as counts, which the PASS line shows before the time."""
+    notes = []
     t0 = time.perf_counter()
     try:
-        yield
+        yield notes
     except BaseException:
         dt = time.perf_counter() - t0
         print(f"FAIL criterion {num}: {desc} ({dt:.2f}s)")
@@ -51,7 +54,8 @@ def criterion(num, desc, budget=None):
     dt = time.perf_counter() - t0
     over = budget is not None and dt > budget
     tag = "FAIL" if over else "PASS"
-    suffix = f"{dt:.2f}s" + (f", budget {budget:.0f}s" if budget is not None else "")
+    suffix = "".join(f"{note}; " for note in notes) + f"{dt:.2f}s"
+    suffix += f", budget {budget:.0f}s" if budget is not None else ""
     print(f"{tag} criterion {num}: {desc} ({suffix})")
     assert not over, f"criterion {num} exceeded its time budget: {dt:.2f}s > {budget}s"
 
@@ -246,11 +250,9 @@ def test_criterion_6_valuation_identities():
 
 
 def test_criterion_7_conductor_bruteforce_crosscheck():
-    with criterion(7, "division-polynomial conductor vs torsion-field enumeration, b<=6", 120):
+    with criterion(7, "division-polynomial conductor vs torsion-field enumeration", 120) as notes:
         verified = skipped = 0
         for q, t, frob, byg in _scan_classes():
-            if frob.b > 6:
-                continue
             for g, ab in sorted(byg.items()):
                 e = Curve(PrimeField(q), *ab)
                 try:
@@ -260,7 +262,8 @@ def test_criterion_7_conductor_bruteforce_crosscheck():
                     continue
                 assert gb == g, (q, t, ab, g, gb)
                 verified += 1
-        assert verified >= 10, f"only {verified} curves verified ({skipped} skipped)"
+        assert verified >= 230, f"only {verified} curves verified ({skipped} skipped)"
+        notes.append(f"{verified} verified, {skipped} skipped")
 
 
 def test_criterion_8_cli_failure_modes():

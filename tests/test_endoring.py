@@ -287,9 +287,10 @@ def test_conductor_bruteforce_small_scan():
 
 
 def test_conductor_bruteforce_needs_exactly_the_torsion_field(monkeypatch):
-    # the walk skips only fields that cannot hold E[c]: it succeeds with the
-    # ceiling at the smallest F_{q^m} whose group has c | n1 for every c = l^v
-    # exactly dividing b, and raises one below it
+    # the oracle lists one field per tested c = l^j, F_{q^m} with m the order
+    # of a mod c: it succeeds with the ceiling at the largest such q^m over
+    # the c that the first-failure loop tests (those up to the first
+    # failure, read off the conductor), and raises one below it
     rng = random.Random(3)
     checked = 0
     for p in (5, 7, 11, 13, 17, 19, 23):
@@ -304,31 +305,69 @@ def test_conductor_bruteforce_needs_exactly_the_torsion_field(monkeypatch):
             frob = frobenius_from_trace(p, t)
             if frob.b == 1:
                 continue
+            g = conductor(e, frob)
             need = 1
             for l, v in factorize(frob.b).items():
-                m = 1
-                while p**m <= 10**5:
-                    if enumeration.group_structure(e, m).n1 % l**v == 0:
-                        break
-                    m += 1
-                need = max(need, p**m)
-            if need > 10**5:
-                continue
-            monkeypatch.setattr(endoring, "ENUM_BOUND", need)
-            assert conductor_bruteforce(e, frob) == conductor(e, frob)
-            monkeypatch.setattr(endoring, "ENUM_BOUND", need - 1)
+                passes = v - factorize(g).get(l, 0)
+                for j in range(1, min(passes + 1, v) + 1):
+                    m = 1
+                    while pow(frob.a, m, l**j) != 1:
+                        m += 1
+                    need = max(need, p**m)
+            monkeypatch.setattr("isoclass.curve.ENUM_BOUND", need)
+            assert conductor_bruteforce(e, frob) == g
+            monkeypatch.setattr("isoclass.curve.ENUM_BOUND", need - 1)
             with pytest.raises(CapacityError):
                 conductor_bruteforce(e, frob)
             checked += 1
-    assert checked >= 10, checked
+    assert checked >= 29, checked
 
 
 def test_conductor_bruteforce_capacity(monkeypatch):
-    monkeypatch.setattr(endoring, "ENUM_BOUND", 1000)
+    monkeypatch.setattr("isoclass.curve.ENUM_BOUND", 1000)
     e = Curve(PrimeField(1031), 1, 13)
     frob = frobenius_from_trace(1031, -20)
     with pytest.raises(CapacityError):
         conductor_bruteforce(e, frob)
+
+
+# (q, A, B, c, verdict) with a = 1 (mod c), so the oracle lists F_q alone:
+# the passing curves have j = 1728, so End is the maximal order Z[i]; the
+# failing ones have c^2 | #E(F_q)
+_ACTION_CASES = [
+    (27773, 2, 0, 53, True),
+    (916273, 5, 0, 101, True),
+    (446477, 2, 0, 211, True),
+    (1417751, 788782, 869514, 53, False),
+    (1834969, 736230, 130386, 101, False),
+    (312281, 144565, 224271, 211, False),
+]
+
+
+@pytest.mark.parametrize("q, A, B, c, verdict", _ACTION_CASES)
+def test_torsion_action_test_matches_scalar_test(q, A, B, c, verdict):
+    e = Curve(PrimeField(q), A, B)
+    frob = frobenius_from_trace(q, trace(e))
+    assert frob.a % c == 1
+    assert scalar_action_test(e, frob, c) is verdict
+    assert endoring._torsion_action_test(e, frob, c) is verdict
+
+
+def test_torsion_action_test_matches_scalar_test_past_first_failure():
+    # every prime power c | b, past the first failure too: the two tests
+    # agree, and their passes are downward closed in the exponent
+    for q, A, B, b in ((13, 2, 6, 4), (73, 49, 52, 8), (73, 52, 3, 9), (193, 139, 85, 16),
+                       (241, 34, 38, 16), (313, 118, 125, 8)):
+        e = Curve(PrimeField(q), A, B)
+        frob = frobenius_from_trace(q, trace(e))
+        assert frob.b == b
+        for l, v in factorize(b).items():
+            cs = [l**j for j in range(1, v + 1)]
+            passes = [scalar_action_test(e, frob, c) for c in cs]
+            assert [endoring._torsion_action_test(e, frob, c) for c in cs] == passes, (q, A, B)
+            i = passes.count(True)
+            assert passes == [True] * i + [False] * (v - i), (q, A, B)
+            assert i < v, (q, A, B)
 
 
 def test_scalar_action_test_refuses_above_conductor_bound(monkeypatch):

@@ -299,6 +299,9 @@ def test_reducer_matches_divmod():
             a = [rng.randrange(-3 * p, 3 * p) for _ in range(2 * n + 3)]
             assert red.pow(a, 1) == poly_divmod(a, m, p)[1], (n, p)
             assert red.reduce([0] * n + m) == []
+    # modulo a unit every remainder is 0, the 0th power included
+    red = Reducer([5], 7)
+    assert red.pow([0, 1], 0) == red.reduce([1]) == []
 
 
 def test_reducer_rejects_zero_modulus():
@@ -309,10 +312,13 @@ def test_reducer_rejects_zero_modulus():
 def test_poly_powmod_matches_repeated_multiply():
     # a base of x starts from the largest x^e0 with e0 <= 2n - 2, so the
     # checks straddle that switch; the reference steps x^e by a shift less
-    # one multiple of m, and other bases by a product and a division
+    # one multiple of m, and other bases by a product and Reducer.reduce,
+    # which test_reducer_matches_divmod checks and which shares none of
+    # pow's bit logic
     rng = random.Random(6)
     for n, p in ((32, 2909), (45, 1000003), (70, 2**61 - 1)):
         m = _random_poly(rng, n, p)
+        red = Reducer(m, p)
         lead_inv = pow(m[-1], -1, p)
         for base, emax in (([0, 1], 10**4), (_random_poly(rng, n + 3, p), 300)):
             checks = {0, 1, 2, 3, 31, 32, 33, emax - 1, emax} | {rng.randrange(emax) for _ in range(5)}
@@ -322,7 +328,7 @@ def test_poly_powmod_matches_repeated_multiply():
                 if e in checks:
                     assert poly_powmod(base, e, m, p) == acc, (n, p, e)
                 if base != [0, 1]:
-                    acc = poly_divmod(poly_mul(acc, base, p), m, p)[1]
+                    acc = red.reduce(poly_mul(acc, base, p))
                     continue
                 acc = [0] + acc
                 if len(acc) > n:

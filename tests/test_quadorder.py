@@ -259,7 +259,7 @@ def test_frobenius_rejects_supersingular():
         frobenius_from_trace(7, 7)
 
 
-def test_frobenius_rejects_real():
+def test_frobenius_rejects_real(capsys):
     with pytest.raises(ValueError):
         frobenius_from_trace(4, 4)  # t^2 = 4q
     # gcd(4, 4) > 1 refuses the line above as supersingular first; at gcd 1,
@@ -268,6 +268,7 @@ def test_frobenius_rejects_real():
         frobenius_from_trace(7, 6)
     assert not isinstance(exc.value, SupersingularError)
     assert main(["pattern", "--q", "7", "--trace", "6", "--g", "1", "--g2", "1"]) == 2
+    assert capsys.readouterr().err == "error: t^2 - 4q = 8 is not negative\n"
 
 
 def test_frobenius_rejects_square_factor_in_m():
